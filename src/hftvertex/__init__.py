@@ -2,35 +2,4 @@
 framed rank r pairs on the resolved conifold, computed over the
 rationals."""
 
-from __future__ import annotations
-
-from .chars import (CharError, HftError, InvalidReplacement, LaurentPoly,
-                    Monomial, NotPolynomial, RationalCharacter, VariableSet,
-                    VariableSetMismatch, ZeroDenominator, divide_one_minus,
-                    eq_rational, grlex_key, monomial_text, one_minus)
-from .fixedpoints import (BoxTuple, FrozenTripleModel, HilbertPoly,
-                          InvalidModel, InvalidStabilityParameter, box_model,
-                          char_from_poincare, compositions, enumerate_fixed,
-                          hilbert_poly, limit_stable_equiv,
-                          poincare_from_char, poly_compare_asymptotic,
-                          rank_coefficient, tau_stability_check)
-from .localize import (AffineWeight, DivisionByZero, ModeUnavailable,
-                       NonIntegerMultiplicity, Specialization,
-                       SpecializationSyntax, WeightForm, WeightFunction,
-                       ZeroWeight, contribution, euler_of_minus, form_text,
-                       parse_specialization, specialize, specialize_form,
-                       weight_function, weights_of)
-from .series import (BinomialIneligible, CountSeries, VertexSeries,
-                     WeightSum, assemble_vertex, binomial_series,
-                     binomiality_test, closed_form_series, compare_rows,
-                     eq_weight_sum, hft_partition, one_leg_exponent, power,
-                     weight_sum)
-from .vertexchar import (ChartFrame, EdgeData, alpha_block, alpha_frame,
-                         axis_fold, beta_block, beta_frame, edge_character,
-                         edge_character_raw, edge_g, edge_g_local,
-                         edge_shift, frame_part, frame_part_rc,
-                         frame_pair_sum, frame_sum, frame_sum_inv,
-                         geometric_sum, leg_alpha, leg_beta, total_character,
-                         trace_vertex, two_chart_trace, vertex_character)
-
 __version__ = "0.1.0"

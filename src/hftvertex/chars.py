@@ -154,6 +154,23 @@ def _checked_images(
     return full
 
 
+def _signed_image(imgs: list[tuple[int, Monomial]],
+                  exps: Monomial) -> tuple[int, Monomial]:
+    """Image of the monomial ``exps`` under a full substitution table, as
+    a sign and an exponent tuple."""
+    sign = 1
+    acc = [0] * len(imgs)
+    for i, p in enumerate(exps):
+        if not p:
+            continue
+        s, u = imgs[i]
+        if s < 0 and p % 2:
+            sign = -sign
+        for k, x in enumerate(u):
+            acc[k] += p * x
+    return sign, tuple(acc)
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial with Fraction coefficients.
 
@@ -309,20 +326,9 @@ class LaurentPoly:
         """Apply the ring map sending each listed variable to a signed
         monomial; unlisted variables are fixed."""
         imgs = _checked_images(self.vars, images)
-        n = self.vars.nvars
         out: dict[Monomial, Fraction] = {}
         for e, c in self.terms.items():
-            sign = 1
-            acc = [0] * n
-            for i, p in enumerate(e):
-                if not p:
-                    continue
-                s, u = imgs[i]
-                if s < 0 and p % 2:
-                    sign = -sign
-                for k in range(n):
-                    acc[k] += p * u[k]
-            key = tuple(acc)
+            sign, key = _signed_image(imgs, e)
             v = out.get(key, _ZERO) + (c if sign > 0 else -c)
             if v:
                 out[key] = v
@@ -531,21 +537,10 @@ class RationalCharacter:
         """
         num = self.num.substituted(images)
         imgs = _checked_images(self.vars, images)
-        n = self.vars.nvars
         den: list[Monomial] = []
         scalar = Fraction(1)
         for m in self.den:
-            sign = 1
-            acc = [0] * n
-            for i, p in enumerate(m):
-                if not p:
-                    continue
-                s, u = imgs[i]
-                if s < 0 and p % 2:
-                    sign = -sign
-                for k in range(n):
-                    acc[k] += p * u[k]
-            image = tuple(acc)
+            sign, image = _signed_image(imgs, m)
             if not any(image):
                 if sign > 0:
                     raise ZeroDenominator(

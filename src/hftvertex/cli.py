@@ -21,12 +21,31 @@ from .chars import HftError
 from .fixedpoints import (FrozenTripleModel, hilbert_poly,
                           limit_stable_equiv, tau_stability_check)
 from .localize import SpecializationSyntax, parse_specialization
-from .series import (assemble_vertex, compare_rows, closed_form_series,
-                     hft_partition, ws_text, ws_to_json)
+from .series import (InvalidCounts, assemble_vertex, compare_rows,
+                     closed_form_series, hft_partition, ws_text, ws_to_json)
 
 
 class UsageError(Exception):
     """Bad input files or argument values: reported with exit code 2."""
+
+
+def _int_at_least(low: int):
+    """Argument type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "expected an integer, got %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value))
+        return value
+    return parse
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,33 +61,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH",
                        help="write output to a file instead of stdout")
 
+    def series_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--rank", type=_positive, default=1)
+        p.add_argument("--twist", type=_nonnegative, default=0)
+        p.add_argument("--order", type=_nonnegative, default=4)
+        p.add_argument("--specialize", default="",
+                       help="comma separated assignments, e.g. "
+                            "'s3=-s1-s2,v1=1'")
+        common(p)
+
     p = sub.add_parser("vertex", help="assemble a vertex series")
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--twist", type=int, default=0)
-    p.add_argument("--order", type=int, default=4)
     p.add_argument("--mode",
                    choices=("character", "paper", "closed_form"),
                    default="character")
-    p.add_argument("--specialize", default="",
-                   help="comma separated assignments, e.g. "
-                        "'s3=-s1-s2,v1=1'")
-    common(p)
+    series_options(p)
 
-    p = sub.add_parser("compare",
-                       help="tabulate contribution modes and closed form")
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--twist", type=int, default=0)
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--specialize", default="")
-    common(p)
+    series_options(sub.add_parser(
+        "compare", help="tabulate contribution modes and closed form"))
 
     p = sub.add_parser("partition",
                        help="twisted rank r count series from a count file")
     p.add_argument("--p-file", required=True, metavar="PATH",
                    help="JSON object mapping box totals to counts")
-    p.add_argument("--twist", type=int, default=1)
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--twist", type=_nonnegative, default=1)
+    p.add_argument("--rank", type=_positive, default=1)
+    p.add_argument("--order", type=_nonnegative, default=10)
     common(p)
 
     p = sub.add_parser("stability",
@@ -90,23 +107,6 @@ def _load_json(path: str):
         raise UsageError("cannot read %s: %s" % (path, err)) from None
     except json.JSONDecodeError as err:
         raise UsageError("%s is not valid JSON: %s" % (path, err)) from None
-
-
-def _parse_counts(data) -> dict[int, Fraction]:
-    if not isinstance(data, dict):
-        raise UsageError("count file must be a JSON object")
-    out: dict[int, Fraction] = {}
-    for key, value in data.items():
-        try:
-            m = int(key)
-            c = Fraction(value)
-        except (ValueError, TypeError):
-            raise UsageError(
-                "bad count entry %r: %r" % (key, value)) from None
-        if m < 0:
-            raise UsageError("negative degree %d in count file" % m)
-        out[m] = out.get(m, Fraction(0)) + c
-    return out
 
 
 def _parse_model(data) -> FrozenTripleModel:
@@ -189,7 +189,9 @@ def _run_compare(args) -> int:
 
 
 def _run_partition(args) -> int:
-    counts = _parse_counts(_load_json(args.p_file))
+    counts = _load_json(args.p_file)
+    if not isinstance(counts, dict):
+        raise UsageError("count file must be a JSON object")
     result = hft_partition(counts, args.twist, args.rank, args.order)
     pairs = [[m, str(c)] for m, c in sorted(result.items())]
     if args.format == "json":
@@ -239,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         return _RUNNERS[args.command](args)
-    except (UsageError, SpecializationSyntax) as err:
+    except (UsageError, SpecializationSyntax, InvalidCounts) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except HftError as err:

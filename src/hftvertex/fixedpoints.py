@@ -3,8 +3,7 @@
 The torus fixed points of the rank r framed pair moduli on the resolved
 one line geometry are indexed by 2r nonnegative integers: for each of the
 r frame summands, a box count on each of the two chart legs.  This module
-enumerates those tuples, converts between full chart characters and their
-polynomial numerators, and implements the stability condition as exact
+enumerates those tuples and implements the stability condition as exact
 asymptotic comparisons of Hilbert polynomials.
 
 Hilbert polynomials are stored as tuples of Fractions, lowest degree
@@ -18,8 +17,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chars import (HftError, LaurentPoly, RationalCharacter, VariableSet,
-                    one_minus)
+from .chars import HftError
 
 HilbertPoly = tuple[Fraction, ...]
 
@@ -106,25 +104,6 @@ def enumerate_fixed(rank: int, total: int) -> list[BoxTuple]:
     for parts in compositions(total, 2 * rank):
         out.append(BoxTuple(parts[:rank], parts[rank:]))
     return out
-
-
-def char_from_poincare(vars: VariableSet, numerator: LaurentPoly,
-                       twist_char: LaurentPoly) -> RationalCharacter:
-    """Full chart character from its polynomial numerator: the quotient
-    ``(twist_char + numerator) / ((1-t1)(1-t2)(1-t3))``."""
-    den = [vars.mono(t1=1), vars.mono(t2=1), vars.mono(t3=1)]
-    return RationalCharacter(vars, twist_char + numerator, den)
-
-
-def poincare_from_char(full: RationalCharacter,
-                       twist_char: LaurentPoly) -> LaurentPoly:
-    """Inverse of ``char_from_poincare``: clear the three chart
-    denominators and subtract the twist character."""
-    vars = full.vars
-    cleared = full * (one_minus(vars, vars.mono(t1=1))
-                      * one_minus(vars, vars.mono(t2=1))
-                      * one_minus(vars, vars.mono(t3=1)))
-    return cleared.reduced() - twist_char
 
 
 def hilbert_poly(coeffs: Iterable[Fraction | int | str]) -> HilbertPoly:

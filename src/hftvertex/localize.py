@@ -186,6 +186,29 @@ class WeightFunction:
         return self.text()
 
 
+def _primitive_forms(rank: int, forms: Sequence[Sequence], s: Fraction,
+                     den: bool, where: str
+                     ) -> tuple[Fraction, list[WeightForm]]:
+    """Primitive representatives of the numerator (or, with ``den``,
+    the denominator) forms, sorted, with their scales folded into the
+    scalar ``s``."""
+    prims: list[WeightForm] = []
+    for f in forms:
+        vec = tuple(Fraction(x) for x in f)
+        if len(vec) != 3 + rank:
+            raise VariableSetMismatch(
+                "form of length %d for rank %d" % (len(vec), rank))
+        if not any(vec):
+            if den:
+                raise DivisionByZero("zero weight in a denominator%s" % where)
+            raise ZeroWeight("zero weight in a numerator%s" % where)
+        lam, prim = _primitive(vec)
+        s = s / lam if den else s * lam
+        prims.append(prim)
+    prims.sort()
+    return s, prims
+
+
 def weight_function(rank: int, scalar: Fraction | int,
                     num: Sequence[Sequence] = (),
                     den: Sequence[Sequence] = (),
@@ -198,30 +221,8 @@ def weight_function(rank: int, scalar: Fraction | int,
     where = " in %s" % context if context else ""
     if not s:
         return WeightFunction(rank, s, (), ())
-    nn: list[WeightForm] = []
-    for f in num:
-        vec = tuple(Fraction(x) for x in f)
-        if len(vec) != 3 + rank:
-            raise VariableSetMismatch(
-                "form of length %d for rank %d" % (len(vec), rank))
-        if not any(vec):
-            raise ZeroWeight("zero weight in a numerator%s" % where)
-        lam, prim = _primitive(vec)
-        s *= lam
-        nn.append(prim)
-    dd: list[WeightForm] = []
-    for f in den:
-        vec = tuple(Fraction(x) for x in f)
-        if len(vec) != 3 + rank:
-            raise VariableSetMismatch(
-                "form of length %d for rank %d" % (len(vec), rank))
-        if not any(vec):
-            raise DivisionByZero("zero weight in a denominator%s" % where)
-        lam, prim = _primitive(vec)
-        s /= lam
-        dd.append(prim)
-    nn.sort()
-    dd.sort()
+    s, nn = _primitive_forms(rank, num, s, False, where)
+    s, dd = _primitive_forms(rank, den, s, True, where)
     i = j = 0
     keep_n: list[WeightForm] = []
     keep_d: list[WeightForm] = []
@@ -324,10 +325,6 @@ def _paper_contribution(rank: int, box: BoxTuple, twist: int,
     return weight_function(rank, 1, nums, dens, context)
 
 
-_MODE_ALIASES = {"character": "character", "paper": "paper",
-                 "paper_formula": "paper"}
-
-
 def contribution(vars: VariableSet, box: BoxTuple, twist: int,
                  mode: str = "character") -> WeightFunction:
     """Localization contribution of one fixed point.
@@ -342,11 +339,10 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
         raise VariableSetMismatch(
             "box tuple of rank %d over variables of rank %d"
             % (box.rank, vars.rank))
-    kind = _MODE_ALIASES.get(mode)
-    if kind is None:
+    if mode not in ("character", "paper"):
         raise ModeUnavailable("unknown contribution mode %r" % (mode,))
     context = "contribution of %r at twist %d" % (box, twist)
-    if kind == "character":
+    if mode == "character":
         poly = total_character(vars, box, twist)
         return euler_of_minus(vars.rank, weights_of(poly), context)
     return _paper_contribution(vars.rank, box, twist, context)
@@ -481,35 +477,33 @@ def specialize(wf: WeightFunction, spec: Specialization | None,
             "specialization of rank %d on a weight function of rank %d"
             % (spec.rank, wf.rank))
     where = " in %s" % context if context else ""
-    scalar = wf.scalar
-    nums: list[list[Fraction]] = []
-    dens: list[list[Fraction]] = []
-    for f in wf.num:
+    scalar, nums = _specialize_forms(spec, wf.num, wf.scalar, False, where)
+    scalar, dens = _specialize_forms(spec, wf.den, scalar, True, where)
+    return weight_function(wf.rank, scalar, nums, dens, context)
+
+
+def _specialize_forms(spec: Specialization, forms: Sequence[WeightForm],
+                      scalar: Fraction, den: bool, where: str
+                      ) -> tuple[Fraction, list[list[Fraction]]]:
+    """Specialize the numerator (or, with ``den``, the denominator)
+    factors: linear ones are kept, constant ones fold into ``scalar``."""
+    kept: list[list[Fraction]] = []
+    for f in forms:
         const, vec = specialize_form(spec, f)
         if any(vec):
             if const:
                 raise AffineWeight(
                     "factor %s specializes to an affine expression%s"
-                    % (form_text(wf.rank, f), where))
-            nums.append(vec)
+                    % (form_text(spec.rank, f), where))
+            kept.append(vec)
         elif const:
-            scalar *= const
+            scalar = scalar / const if den else scalar * const
+        elif den:
+            raise DivisionByZero(
+                "denominator factor %s specializes to zero%s"
+                % (form_text(spec.rank, f), where))
         else:
             raise ZeroWeight(
                 "numerator factor %s specializes to zero%s"
-                % (form_text(wf.rank, f), where))
-    for f in wf.den:
-        const, vec = specialize_form(spec, f)
-        if any(vec):
-            if const:
-                raise AffineWeight(
-                    "factor %s specializes to an affine expression%s"
-                    % (form_text(wf.rank, f), where))
-            dens.append(vec)
-        elif const:
-            scalar /= const
-        else:
-            raise DivisionByZero(
-                "denominator factor %s specializes to zero%s"
-                % (form_text(wf.rank, f), where))
-    return weight_function(wf.rank, scalar, nums, dens, context)
+                % (form_text(spec.rank, f), where))
+    return scalar, kept

@@ -32,6 +32,11 @@ class BinomialIneligible(HftError):
     """The exponent is not of a shape the binomial series supports."""
 
 
+class InvalidCounts(InvalidModel):
+    """A count series entry is not a nonnegative integer degree with an
+    exact rational count."""
+
+
 def weight_sum(rank: int, items: Sequence[WeightFunction]) -> WeightSum:
     """Canonical sum: group by factor data, add scalars, drop zeros,
     sort."""
@@ -358,13 +363,22 @@ CountSeries = dict[int, Fraction]
 
 def count_series(data: Mapping) -> CountSeries:
     """Normalize a mapping of box totals to counts: integer keys at
-    least zero, rational values, zero values dropped."""
+    least zero, exact rational values (integers, Fractions or strings
+    such as ``"3/2"``), zero values dropped.  Floats and booleans are
+    refused rather than converted."""
     out: CountSeries = {}
     for key, value in data.items():
-        m = int(key)
+        bad = isinstance(key, (bool, float)) or isinstance(
+            value, (bool, float))
+        try:
+            m = int(key)
+            c = Fraction(value)
+        except (ValueError, TypeError, ZeroDivisionError):
+            bad = True
+        if bad:
+            raise InvalidCounts("bad count entry %r: %r" % (key, value))
         if m < 0:
-            raise InvalidModel("negative degree %d in a count series" % m)
-        c = Fraction(value)
+            raise InvalidCounts("negative degree %d in a count series" % m)
         if c:
             out[m] = out.get(m, Fraction(0)) + c
     return {m: c for m, c in out.items() if c}
@@ -376,8 +390,10 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     summand count series: reindex degrees by the twist, convolve rank
     many times, and truncate beyond the order.
 
-    Twist zero collapses the reindexed series to a constant; an empty
-    input gives the zero series.
+    The counts go through ``count_series`` first, which raises
+    ``InvalidCounts`` on a bad entry.  Twist zero collapses the
+    reindexed series to a constant; an empty input gives the zero
+    series.
     """
     if rank < 1:
         raise InvalidModel("rank must be at least one")

@@ -21,7 +21,8 @@ from hftvertex.localize import (contribution, parse_specialization,
 from hftvertex.series import (assemble_vertex, binomiality_test,
                               compare_rows, hft_partition, leg_strata,
                               one_leg_exponent, ws_text)
-from hftvertex.vertexchar import edge_g_local, frame_part, total_character
+from hftvertex.vertexchar import total_character
+from oracles import edge_g_local, frame_part
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)

@@ -176,6 +176,24 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error: "), argv
+    # numeric arguments are checked by the parser, which prints its usage
+    # line before the error line
+    pfile = tmp_path / "counts.json"
+    pfile.write_text("{}")
+    numeric = [
+        (["vertex", "--rank", "-1"], "--rank"),
+        (["vertex", "--rank", "0", "--order", "2"], "--rank"),
+        (["vertex", "--order", "-1"], "--order"),
+        (["vertex", "--twist", "-1"], "--twist"),
+        (["compare", "--rank", "0"], "--rank"),
+        (["vertex", "--order", "two"], "--order"),
+        (["partition", "--p-file", str(pfile), "--rank", "0"], "--rank"),
+    ]
+    for argv, name in numeric:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert "error: argument %s: " % name in err, argv
+        assert "Traceback" not in err, argv
 
 
 def test_exit_code_two_on_bad_files(tmp_path, capsys):
@@ -189,9 +207,11 @@ def test_exit_code_two_on_bad_files(tmp_path, capsys):
     bad.write_text(json.dumps({"-1": 1}))
     code, _, err = run(capsys, ["partition", "--p-file", str(bad)])
     assert code == 2 and "negative degree" in err
-    bad.write_text(json.dumps({"x": 1}))
-    code, _, err = run(capsys, ["partition", "--p-file", str(bad)])
-    assert code == 2 and "bad count entry" in err
+    for entry in ({"x": 1}, {"1": "1/0"}, {"1": 0.1}, {"1": True}):
+        bad.write_text(json.dumps(entry))
+        code, out, err = run(capsys, ["partition", "--p-file", str(bad)])
+        assert code == 2 and out == "", entry
+        assert err.startswith("error: bad count entry"), entry
     bad.write_text(json.dumps({"rank": 1}))
     code, _, err = run(capsys, [
         "stability", "--model-file", str(bad), "--q-poly", "0,0,1"])
@@ -215,10 +235,17 @@ def test_argparse_errors_return_their_code(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+
+    import hftvertex
+    # the child process imports the same package as this test, also when
+    # it is found through the pytest configuration rather than PYTHONPATH
+    src = os.path.dirname(os.path.dirname(hftvertex.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hftvertex.cli", "vertex", "--order", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "c[0] = 1"

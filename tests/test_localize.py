@@ -149,12 +149,6 @@ def test_contribution_rejects_unknown_mode():
         contribution(V1, BoxTuple((1, 0), (0, 0)), 0)
 
 
-def test_paper_mode_alias():
-    box = BoxTuple((2,), (0,))
-    assert contribution(V1, box, 0, "paper") == contribution(
-        V1, box, 0, "paper_formula")
-
-
 def test_paper_equals_character_in_rank_one_untwisted_first_leg():
     for d in range(6):
         box = BoxTuple((d,), (0,))

@@ -9,10 +9,11 @@ import pytest
 from hftvertex.fixedpoints import InvalidModel
 from hftvertex.localize import (DivisionByZero, parse_specialization,
                                 weight_function)
-from hftvertex.series import (BinomialIneligible, assemble_vertex,
-                              binomial_series, binomiality_test,
-                              closed_form_series, compare_rows, count_series,
-                              eq_weight_sum, hft_partition, leg_strata,
+from hftvertex.series import (BinomialIneligible, InvalidCounts,
+                              assemble_vertex, binomial_series,
+                              binomiality_test, closed_form_series,
+                              compare_rows, count_series, eq_weight_sum,
+                              hft_partition, leg_strata,
                               one_leg_exponent, power, reference_series,
                               weight_sum, ws_add, ws_mul, ws_scale, ws_text,
                               ws_to_json, ws_unit)
@@ -233,8 +234,10 @@ def test_vertex_series_text_and_json():
 
 def test_count_series_normalization():
     assert count_series({"2": "3/2", 1: 0}) == {2: Fraction(3, 2)}
-    with pytest.raises(InvalidModel):
-        count_series({-1: 1})
+    for data in ({-1: 1}, {1: 0.5}, {1: True}, {1.0: 1}, {1: "1/0"},
+                 {"x": 1}):
+        with pytest.raises(InvalidCounts):
+            count_series(data)
 
 
 def test_hft_partition_oracles():

@@ -1,4 +1,5 @@
-"""Tests for chart traces, closed form characters, and edge terms."""
+"""Tests for closed form characters, checked against the raw chart
+and edge road of ``oracles``."""
 
 import random
 from fractions import Fraction
@@ -9,15 +10,15 @@ from hftvertex.chars import (CharError, LaurentPoly, NotPolynomial,
                              RationalCharacter, VariableSet,
                              VariableSetMismatch, eq_rational, one_minus)
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
-from hftvertex.vertexchar import (EdgeData, alpha_block, alpha_frame,
-                                  axis_fold, beta_block, beta_frame,
-                                  edge_character, edge_character_raw, edge_g,
-                                  edge_g_local, edge_shift, frame_pair_sum,
-                                  frame_part, frame_part_rc, frame_sum,
-                                  frame_sum_inv, geometric_sum, leg_alpha,
-                                  leg_beta, quad_g, total_character,
-                                  trace_vertex, triple_g, two_chart_trace,
-                                  vertex_character, share_alpha, share_beta)
+from hftvertex.vertexchar import (alpha_block, beta_block, frame_sum,
+                                  frame_sum_inv, geometric_sum,
+                                  total_character)
+from oracles import (EdgeData, alpha_frame, axis_fold, beta_frame,
+                     edge_character, edge_character_raw, edge_g, edge_g_local,
+                     edge_shift, frame_pair_sum, frame_part, frame_part_rc,
+                     leg_alpha, leg_beta, quad_g, share_alpha, share_beta,
+                     trace_vertex, triple_g, two_chart_trace,
+                     vertex_character)
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)
