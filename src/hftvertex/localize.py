@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .chars import HftError, LaurentPoly, VariableSet, VariableSetMismatch
@@ -139,22 +140,29 @@ class WeightFunction:
                                self.num, self.den)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact value at a rational parameter point."""
-        pt = [Fraction(x) for x in point]
-        if len(pt) != 3 + self.rank:
+        """Exact value at a rational parameter point.
+
+        The point is written as integers over one common denominator m
+        and goes through the integer kernel ``value_parts``.  Every
+        factor is homogeneous of degree one, so m cancels except for its
+        power ``len(den) - len(num)``, applied once at the end.
+        """
+        ipt, m = _cleared(point)
+        if len(ipt) != 3 + self.rank:
             raise VariableSetMismatch(
-                "point of length %d for rank %d" % (len(pt), self.rank))
-        value = self.scalar
-        for f in self.num:
-            value *= sum(a * b for a, b in zip(f, pt))
-        for f in self.den:
-            d = sum(a * b for a, b in zip(f, pt))
-            if not d:
-                raise DivisionByZero(
-                    "factor %s vanishes at the evaluation point"
-                    % form_text(self.rank, f))
-            value /= d
-        return value
+                "point of length %d for rank %d" % (len(ipt), self.rank))
+        top, bottom = value_parts((self,), ipt)
+        if not bottom:
+            f = next(f for f in self.den if not sum(map(mul, f, ipt)))
+            raise DivisionByZero(
+                "factor %s vanishes at the evaluation point"
+                % form_text(self.rank, f))
+        shift = len(self.den) - len(self.num)
+        if shift > 0:
+            top *= m ** shift
+        elif shift < 0:
+            bottom *= m ** -shift
+        return Fraction(top, bottom)
 
     def to_json(self) -> dict:
         return {"scalar": str(self.scalar),
@@ -184,6 +192,35 @@ class WeightFunction:
 
     def __repr__(self) -> str:
         return self.text()
+
+
+def _cleared(point: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Integer numerators of a rational point over its least common
+    denominator, and that denominator."""
+    pt = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+          for x in point]
+    m = lcm(*(x.denominator for x in pt))
+    return [x.numerator * (m // x.denominator) for x in pt], m
+
+
+def value_parts(items: Sequence[WeightFunction],
+                point: Sequence[int]) -> tuple[int, int]:
+    """Numerator and denominator of the value of a sum of weight
+    functions at an integer point, as integers: one integer dot product
+    per factor, no ``Fraction`` on the way.  The denominator is zero
+    exactly when a denominator factor of some term vanishes there."""
+    top, bottom = 0, 1
+    for wf in items:
+        n = wf.scalar.numerator
+        for f in wf.num:
+            n *= sum(map(mul, f, point))
+        d = wf.scalar.denominator
+        for f in wf.den:
+            d *= sum(map(mul, f, point))
+        if not d:
+            return 0, 0
+        top, bottom = top * d + n * bottom, bottom * d
+    return top, bottom
 
 
 def _primitive_forms(rank: int, forms: Sequence[Sequence], s: Fraction,

@@ -4,8 +4,10 @@ The vertex series collects, order by order in the box count, the sum of
 fixed point contributions on the pure first leg strata: the fixed points
 whose second leg carries no boxes.  Coefficients are ``WeightSum``
 values: canonical tuples of weight functions, grouped by their factor
-data.  Exact equality of two weight sums is decided by clearing all
-denominators and comparing honest polynomials in the parameters.
+data.  Exact equality of two weight sums is decided in two exact steps:
+integer evaluation at a few fixed points, where differing values prove
+the sums unequal, then, only when every point agrees, expansion of the
+difference over the least common denominator of its terms.
 
 The closed form counterpart raises a one line binomial series to the
 rank power, and ``binomiality_test`` recognizes when an assembled series
@@ -16,6 +18,7 @@ theory: reindex by the twist, convolve rank many times, truncate.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +26,8 @@ from fractions import Fraction
 from .chars import HftError, LaurentPoly, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, compositions
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       contribution, specialize, weight_function)
+                       contribution, specialize, value_parts,
+                       weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
 
@@ -96,39 +100,61 @@ def ws_to_json(a: WeightSum):
     return [wf.to_json() for wf in a]
 
 
-def _form_poly(vars: VariableSet, form: WeightForm,
-               scale: Fraction | int = 1) -> LaurentPoly:
+def _form_poly(vars: VariableSet, form: WeightForm) -> LaurentPoly:
     terms = {}
     for i, c in enumerate(form):
         if c:
             e = [0] * vars.nvars
             e[i] = 1
-            terms[tuple(e)] = Fraction(scale) * c
+            terms[tuple(e)] = Fraction(c)
     return LaurentPoly(vars, terms)
 
 
-def eq_weight_sum(rank: int, a: WeightSum, b: WeightSum) -> bool:
-    """Exact value equality of two weight sums.
+# One evaluation point per base: its entries are the powers base ** 1,
+# base ** 2, ...  A nonzero linear form whose coefficients are smaller
+# than the base in magnitude cannot vanish there, and a nonzero
+# difference of two sums almost never does.
+_POINT_BASES = (1000, 1009, 1013)
 
-    The difference is put over the product of every denominator factor
-    appearing in either sum and the resulting numerator, a polynomial in
-    the parameters with linear forms as building blocks, is expanded and
-    compared with zero.  Intended for the small sums the series
-    coefficients are; cost grows with the product of all factor counts.
+
+def _evaluation_points(rank: int) -> list[tuple[int, ...]]:
+    return [tuple(base ** (i + 1) for i in range(3 + rank))
+            for base in _POINT_BASES]
+
+
+def eq_weight_sum(rank: int, a: WeightSum, b: WeightSum) -> bool:
+    """Exact value equality of two weight sums, in two exact steps.
+
+    Identical canonical sums are equal and need no step.  Otherwise both
+    sums are first evaluated in integers at the fixed points of
+    ``_evaluation_points``, skipping a point where a denominator factor
+    vanishes.  Values that differ at a point prove the sums unequal;
+    this decides almost every unequal pair at a cost linear in the
+    number of factors.  When every point agrees, the difference is put
+    over the least common denominator of all terms and the numerator,
+    a polynomial in the parameters, is expanded and compared with zero.
+    Forms are canonical and primitive, so that denominator is the
+    multiset maximum of the terms' denominators; the expansion grows
+    with its factor count, not with the product of all factor counts.
     """
-    terms = [(Fraction(1), wf) for wf in a] + [(Fraction(-1), wf) for wf in b]
+    if a == b:
+        return True
+    for point in _evaluation_points(rank):
+        top_a, bottom_a = value_parts(a, point)
+        top_b, bottom_b = value_parts(b, point)
+        if bottom_a and bottom_b and top_a * bottom_b != top_b * bottom_a:
+            return False
+    lcd: Counter = Counter()
+    for wf in (*a, *b):
+        lcd |= Counter(wf.den)
     vars = VariableSet(rank)
     total = LaurentPoly.zero(vars)
-    for i, (sign, wf) in enumerate(terms):
-        part = LaurentPoly.constant(vars, sign * wf.scalar)
-        for f in wf.num:
-            part = part * _form_poly(vars, f)
-        for k, (_, other) in enumerate(terms):
-            if k == i:
-                continue
-            for f in other.den:
+    for sign, terms in ((1, a), (-1, b)):
+        for wf in terms:
+            part = LaurentPoly.constant(vars, sign * wf.scalar)
+            for f in (*wf.num, *(lcd - Counter(wf.den)).elements()):
                 part = part * _form_poly(vars, f)
-        total = total + part
+            total = total + part
     return total.is_zero()
 
 

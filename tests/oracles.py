@@ -12,16 +12,24 @@ road, which takes the trace of each chart module and adds them.  For
 rank one the two agree once the raw sum of the empty configuration is
 subtracted; for higher rank they agree on the frame degree zero part.
 The tests check both statements, and the edge identities, against it.
+
+It also keeps the first, slow roads to two exact values, so the fast
+ones can be checked against them: ``eq_weight_sum_expanded`` decides
+equality of two weight sums by full expansion over the product of all
+denominators, and ``evaluate_fraction`` evaluates a weight function in
+``Fraction`` arithmetic, factor by factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from hftvertex.chars import (CharError, LaurentPoly, Monomial,
                              RationalCharacter, VariableSet,
                              VariableSetMismatch, one_minus)
 from hftvertex.fixedpoints import BoxTuple
+from hftvertex.localize import DivisionByZero, form_text
 from hftvertex.vertexchar import frame_sum, frame_sum_inv
 
 
@@ -310,3 +318,57 @@ def poincare_from_char(full: RationalCharacter,
                       * one_minus(vars, vars.mono(t2=1))
                       * one_minus(vars, vars.mono(t3=1)))
     return cleared.reduced() - twist_char
+
+
+def _form_poly(vars: VariableSet, form) -> LaurentPoly:
+    terms = {}
+    for i, c in enumerate(form):
+        if c:
+            e = [0] * vars.nvars
+            e[i] = 1
+            terms[tuple(e)] = Fraction(c)
+    return LaurentPoly(vars, terms)
+
+
+def eq_weight_sum_expanded(rank: int, a, b) -> bool:
+    """Exact value equality of two weight sums by full expansion.
+
+    The difference is put over the product of every denominator factor
+    appearing in either sum, and the resulting numerator is expanded and
+    compared with zero.  Cost grows with the product of all factor
+    counts.
+    """
+    terms = [(Fraction(1), wf) for wf in a] + [(Fraction(-1), wf) for wf in b]
+    vars = VariableSet(rank)
+    total = LaurentPoly.zero(vars)
+    for i, (sign, wf) in enumerate(terms):
+        part = LaurentPoly.constant(vars, sign * wf.scalar)
+        for f in wf.num:
+            part = part * _form_poly(vars, f)
+        for k, (_, other) in enumerate(terms):
+            if k == i:
+                continue
+            for f in other.den:
+                part = part * _form_poly(vars, f)
+        total = total + part
+    return total.is_zero()
+
+
+def evaluate_fraction(wf, point) -> Fraction:
+    """Exact value of a weight function at a rational point, one
+    ``Fraction`` operation per factor."""
+    pt = [Fraction(x) for x in point]
+    if len(pt) != 3 + wf.rank:
+        raise VariableSetMismatch(
+            "point of length %d for rank %d" % (len(pt), wf.rank))
+    value = wf.scalar
+    for f in wf.num:
+        value *= sum(a * b for a, b in zip(f, pt))
+    for f in wf.den:
+        d = sum(a * b for a, b in zip(f, pt))
+        if not d:
+            raise DivisionByZero(
+                "factor %s vanishes at the evaluation point"
+                % form_text(wf.rank, f))
+        value /= d
+    return value
