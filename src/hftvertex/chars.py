@@ -10,13 +10,15 @@ Exponents may be negative.  A ``LaurentPoly`` is a finite sum of such
 monomials with nonzero ``Fraction`` coefficients, stored sparsely as a
 dict from exponent tuple to coefficient.
 
-Fixed point traces are not polynomials: they carry denominators that are
+Fixed point characters are built from quotients whose denominators are
 products of factors ``1 - m`` for nonconstant monomials ``m``.  A
 ``RationalCharacter`` keeps the numerator as a ``LaurentPoly`` and the
 denominator as an explicit multiset of such monomials.  Denominators are
-never expanded, and cancellation is done by exact division, so equality
-of characters is decided exactly over the rationals with no floating
-point and no series truncation anywhere.
+never expanded, and cancellation is done by exact division, with no
+floating point and no series truncation anywhere.  The package only adds
+and multiplies such quotients and reduces their sums to Laurent
+polynomials; deciding equality of values and substituting monomials for
+variables are left to the test oracles.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ class VariableSetMismatch(CharError):
 
 class NotPolynomial(CharError):
     """An exact division left a remainder."""
-
-
-class InvalidReplacement(CharError):
-    """A substitution image is not a signed monomial."""
 
 
 class ZeroDenominator(CharError):
@@ -120,55 +118,6 @@ def monomial_text(vars: VariableSet, exps: Monomial) -> str:
             continue
         parts.append(name if p == 1 else "%s^%d" % (name, p))
     return "*".join(parts) if parts else "1"
-
-
-def _checked_images(
-    vars: VariableSet,
-    images: Mapping[int, tuple[int, Monomial]],
-) -> list[tuple[int, Monomial]]:
-    """Fill a full substitution table, mapping unlisted variables to
-    themselves, and validate every listed image."""
-    full: list[tuple[int, Monomial]] = []
-    for i in range(vars.nvars):
-        axis = [0] * vars.nvars
-        axis[i] = 1
-        full.append((1, tuple(axis)))
-    for i, image in images.items():
-        idx = int(i)
-        if not 0 <= idx < vars.nvars:
-            raise InvalidReplacement("no variable with index %d" % idx)
-        try:
-            sign, u = image
-        except (TypeError, ValueError):
-            raise InvalidReplacement(
-                "image must be a (sign, exponent tuple) pair") from None
-        if sign not in (1, -1):
-            raise InvalidReplacement(
-                "sign must be +1 or -1, got %r" % (sign,))
-        uu = tuple(int(x) for x in u)
-        if len(uu) != vars.nvars:
-            raise InvalidReplacement(
-                "image exponent tuple has length %d, expected %d"
-                % (len(uu), vars.nvars))
-        full[idx] = (int(sign), uu)
-    return full
-
-
-def _signed_image(imgs: list[tuple[int, Monomial]],
-                  exps: Monomial) -> tuple[int, Monomial]:
-    """Image of the monomial ``exps`` under a full substitution table, as
-    a sign and an exponent tuple."""
-    sign = 1
-    acc = [0] * len(imgs)
-    for i, p in enumerate(exps):
-        if not p:
-            continue
-        s, u = imgs[i]
-        if s < 0 and p % 2:
-            sign = -sign
-        for k, x in enumerate(u):
-            acc[k] += p * x
-    return sign, tuple(acc)
 
 
 class LaurentPoly:
@@ -322,20 +271,6 @@ class LaurentPoly:
             self.vars,
             {tuple(-x for x in e): c for e, c in self.terms.items()})
 
-    def substituted(self, images: Mapping[int, tuple[int, Monomial]]) -> LaurentPoly:
-        """Apply the ring map sending each listed variable to a signed
-        monomial; unlisted variables are fixed."""
-        imgs = _checked_images(self.vars, images)
-        out: dict[Monomial, Fraction] = {}
-        for e, c in self.terms.items():
-            sign, key = _signed_image(imgs, e)
-            v = out.get(key, _ZERO) + (c if sign > 0 else -c)
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return LaurentPoly._raw(self.vars, out)
-
     def text(self) -> str:
         """Deterministic plain text form, terms in grlex order."""
         if not self.terms:
@@ -416,8 +351,8 @@ class RationalCharacter:
     Arithmetic operators normalize their result, so factors that divide
     the numerator exactly never linger.  Note that normalization only
     cancels whole ``1 - m`` factors; it is not a full gcd, so two equal
-    characters can still differ in representation.  Use ``eq_rational``
-    to compare values rather than representations.
+    characters can still differ in representation, and ``==`` compares
+    representations, not values.
     """
 
     __slots__ = ("vars", "num", "den")
@@ -526,35 +461,6 @@ class RationalCharacter:
             self.vars, self.num.bar(),
             [tuple(-x for x in m) for m in self.den])
 
-    def substituted(self, images: Mapping[int, tuple[int, Monomial]]) -> RationalCharacter:
-        """Apply a signed monomial substitution to the whole quotient.
-
-        Denominator factors are rewritten so the result is again of the
-        ``num / prod (1 - m)`` shape: an image with negative sign uses
-        ``1/(1 + u) = (1 - u)/(1 - u^2)``, the constant image ``-1``
-        contributes a scalar ``1/2``, and the constant image ``+1`` makes
-        the factor vanish, which raises ``ZeroDenominator``.
-        """
-        num = self.num.substituted(images)
-        imgs = _checked_images(self.vars, images)
-        den: list[Monomial] = []
-        scalar = Fraction(1)
-        for m in self.den:
-            sign, image = _signed_image(imgs, m)
-            if not any(image):
-                if sign > 0:
-                    raise ZeroDenominator(
-                        "substitution sends a denominator factor to zero")
-                scalar /= 2
-            elif sign > 0:
-                den.append(image)
-            else:
-                num = num * one_minus(self.vars, image)
-                den.append(tuple(2 * x for x in image))
-        if scalar != 1:
-            num = num.scaled(scalar)
-        return RationalCharacter(self.vars, num, den)
-
     def normalized(self) -> RationalCharacter:
         """Cancel every denominator factor that divides the numerator
         exactly, repeating until none does."""
@@ -593,11 +499,3 @@ class RationalCharacter:
 
     def __repr__(self) -> str:
         return self.text()
-
-
-def eq_rational(a: RationalCharacter, b: RationalCharacter) -> bool:
-    """Decide equality of values by cross multiplying the denominators."""
-    a._check(b)
-    left = _times_factors(a.num, b.den)
-    right = _times_factors(b.num, a.den)
-    return left == right

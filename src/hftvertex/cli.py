@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .chars import HftError
@@ -125,12 +126,21 @@ def _parse_q(text: str) -> tuple[Fraction, ...]:
         raise UsageError("bad q polynomial %r" % text) from None
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, doc: dict, text: Callable[[], str]) -> int:
+    """Write the JSON form of ``doc`` or the plain text that ``text``
+    renders, as the format option asks, each with one final newline.
+    Text is rendered only when asked for: it can cost as much as the
+    computation."""
+    if args.format == "json":
+        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    else:
+        payload = text() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
+    return 0
 
 
 def _run_vertex(args) -> int:
@@ -140,38 +150,26 @@ def _run_vertex(args) -> int:
     else:
         series = assemble_vertex(args.rank, args.twist, args.order,
                                  args.mode, spec)
-    if args.format == "json":
-        payload = json.dumps(series.to_json(), sort_keys=True,
-                             indent=2) + "\n"
-    else:
-        payload = series.text() + "\n"
-    _emit(args, payload)
-    return 0
+    return _emit(args, series.to_json(), series.text)
+
+
+_WS_COLUMNS = ("character", "paper", "closed_form",
+               "difference_from_reference")
 
 
 def _run_compare(args) -> int:
     spec = parse_specialization(args.rank, args.specialize)
     rows = compare_rows(args.rank, args.twist, args.order, spec)
-    if args.format == "json":
-        doc = {
-            "rank": args.rank,
-            "twist": args.twist,
-            "order": args.order,
-            "specialization": spec.source,
-            "rows": [{
-                "k": row["k"],
-                "character": ws_to_json(row["character"]),
-                "paper": ws_to_json(row["paper"]),
-                "closed_form": ws_to_json(row["closed_form"]),
-                "character_equals_paper": row["character_equals_paper"],
-                "character_equals_closed_form":
-                    row["character_equals_closed_form"],
-                "difference_from_reference":
-                    ws_to_json(row["difference_from_reference"]),
-            } for row in rows],
-        }
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
+    doc = {
+        "rank": args.rank,
+        "twist": args.twist,
+        "order": args.order,
+        "specialization": spec.source,
+        "rows": [{**row, **{c: ws_to_json(row[c]) for c in _WS_COLUMNS}}
+                 for row in rows],
+    }
+
+    def text() -> str:
         lines = []
         for row in rows:
             lines.append("k = %d" % row["k"])
@@ -183,9 +181,8 @@ def _run_compare(args) -> int:
                                        row["character_equals_closed_form"]))
             lines.append("  difference from reference: %s"
                          % ws_text(row["difference_from_reference"]))
-        payload = "\n".join(lines) + "\n"
-    _emit(args, payload)
-    return 0
+        return "\n".join(lines)
+    return _emit(args, doc, text)
 
 
 def _run_partition(args) -> int:
@@ -194,17 +191,10 @@ def _run_partition(args) -> int:
         raise UsageError("count file must be a JSON object")
     result = hft_partition(counts, args.twist, args.rank, args.order)
     pairs = [[m, str(c)] for m, c in sorted(result.items())]
-    if args.format == "json":
-        doc = {"rank": args.rank, "twist": args.twist,
-               "order": args.order, "counts": pairs}
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        if pairs:
-            payload = "".join("q^%d: %s\n" % (m, c) for m, c in pairs)
-        else:
-            payload = "0\n"
-    _emit(args, payload)
-    return 0
+    doc = {"rank": args.rank, "twist": args.twist,
+           "order": args.order, "counts": pairs}
+    return _emit(args, doc, lambda: "\n".join(
+        "q^%d: %s" % (m, c) for m, c in pairs) or "0")
 
 
 def _run_stability(args) -> int:
@@ -217,12 +207,8 @@ def _run_stability(args) -> int:
         doc["limit_stable"] = limit_stable
         doc["cokernel_zero_dimensional"] = coker_zero
         doc["limit_agrees"] = limit_stable == coker_zero
-    if args.format == "json":
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        payload = "".join("%s: %s\n" % (k, v) for k, v in doc.items())
-    _emit(args, payload)
-    return 0
+    return _emit(args, doc, lambda: "\n".join(
+        "%s: %s" % item for item in doc.items()))
 
 
 _RUNNERS = {

@@ -130,11 +130,6 @@ def poly_scale(a: HilbertPoly, c: Fraction | int) -> HilbertPoly:
     return hilbert_poly(Fraction(c) * x for x in a)
 
 
-def poly_degree(a: HilbertPoly) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(hilbert_poly(a)) - 1
-
-
 def poly_compare_asymptotic(a: Iterable, b: Iterable) -> str:
     """Compare two polynomials for all sufficiently large arguments:
     returns "less", "equal", or "greater"."""
@@ -207,16 +202,6 @@ class FrozenTripleModel:
             for entry in data.get("subobjects", ()))
         return cls(int(data["rank"]), hilbert_poly(data["p_total"]),
                    hilbert_poly(data["p_image"]), subs)
-
-
-def box_model(box: BoxTuple) -> FrozenTripleModel:
-    """Polynomial model of the sheaf cut out by a box tuple: rank many
-    line modules plus a zero dimensional tail of the total box count, the
-    framing image being the line part."""
-    r, k = box.rank, box.total
-    line = hilbert_poly((r, r))
-    return FrozenTripleModel(r, poly_add(line, hilbert_poly((k,))), line,
-                             ((line, True),))
 
 
 def tau_stability_check(model: FrozenTripleModel,

@@ -101,9 +101,15 @@ def _primitive(vec: Sequence[Fraction | int]) -> tuple[Fraction, WeightForm]:
 @dataclass(frozen=True)
 class WeightFunction:
     """Canonical product of linear forms over a product of linear forms,
-    times a rational scalar.  Instances are only built through
-    ``weight_function``, which canonicalizes; equality of canonical
-    instances is equality of values."""
+    times a rational scalar; equality of canonical instances is equality
+    of values.
+
+    Canonical means: every form is primitive (integer entries with
+    content one and a positive first nonzero entry), ``num`` and ``den``
+    are sorted, no form appears in both, and a zero scalar carries no
+    forms.  ``weight_function`` builds that form from any input.  Build
+    an instance directly only from the ``num`` and ``den`` of a
+    canonical instance and a nonzero scalar, which keeps it canonical."""
 
     rank: int
     scalar: Fraction

@@ -9,19 +9,24 @@ integer evaluation at a few fixed points, where differing values prove
 the sums unequal, then, only when every point agrees, expansion of the
 difference over the least common denominator of its terms.
 
-The closed form counterpart raises a one line binomial series to the
-rank power, and ``binomiality_test`` recognizes when an assembled series
-is itself binomial.  Finally ``hft_partition`` turns a count series of
-box configurations into the generating series of a twisted rank r
-theory: reindex by the twist, convolve rank many times, truncate.
+At a fixed point the frame splits into r summands, so both the closed
+form counterpart and the count series are the r-th truncated convolution
+power of a one summand series: ``closed_form_series`` raises a one line
+binomial series to the rank power, and ``hft_partition`` turns a count
+series of box configurations into the generating series of a twisted
+rank r theory by reindexing it by the twist first.  One helper computes
+that power for both, on weight sums and on ``Fraction`` counts alike.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import TypeVar
 
 from .chars import HftError, LaurentPoly, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, compositions
@@ -30,6 +35,7 @@ from .localize import (Specialization, WeightForm, WeightFunction,
                        weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
+_T = TypeVar("_T")
 
 
 class BinomialIneligible(HftError):
@@ -43,8 +49,9 @@ class InvalidCounts(InvalidModel):
 
 def weight_sum(rank: int, items: Sequence[WeightFunction]) -> WeightSum:
     """Canonical sum: group by factor data, add scalars, drop zeros,
-    sort."""
-    acc: dict[tuple, tuple[WeightFunction, Fraction]] = {}
+    sort.  The factor data of a canonical term stays canonical under a
+    new nonzero scalar, so each group becomes a term directly."""
+    acc: dict[tuple, Fraction] = {}
     for wf in items:
         if wf.rank != rank:
             raise InvalidModel(
@@ -53,14 +60,9 @@ def weight_sum(rank: int, items: Sequence[WeightFunction]) -> WeightSum:
         if wf.is_zero():
             continue
         key = (wf.num, wf.den)
-        old = acc.get(key)
-        acc[key] = (wf, (old[1] if old else Fraction(0)) + wf.scalar)
-    out = []
-    for (num, den), (_, scalar) in acc.items():
-        if scalar:
-            out.append(weight_function(rank, scalar, num, den))
-    out.sort(key=lambda w: (w.num, w.den))
-    return tuple(out)
+        acc[key] = acc.get(key, 0) + wf.scalar
+    return tuple(WeightFunction(rank, scalar, num, den)
+                 for (num, den), scalar in sorted(acc.items()) if scalar)
 
 
 def ws_unit(rank: int) -> WeightSum:
@@ -264,35 +266,24 @@ def binomial_series(exponent: WeightFunction, order: int
     return out
 
 
-def binomiality_test(rank: int, coefficients: Sequence[WeightSum]
-                     ) -> tuple[bool, WeightFunction | None]:
-    """Decide whether a coefficient list is a generalized binomial
-    series (1 + q) ** E, and if so return E.
-
-    The order zero coefficient must be one.  The exponent candidate is
-    the order one coefficient; a multi term or ineligible candidate
-    fails immediately, and otherwise every higher coefficient is
-    compared exactly with the corresponding binomial coefficient.
-    """
-    if not coefficients:
-        return (False, None)
-    if not eq_weight_sum(rank, coefficients[0], ws_unit(rank)):
-        return (False, None)
-    if len(coefficients) == 1:
-        return (True, None)
-    c1 = coefficients[1]
-    if len(c1) > 1:
-        return (False, None)
-    exponent = c1[0] if c1 else weight_function(rank, 0)
-    try:
-        ref = binomial_series(exponent, len(coefficients) - 1)
-    except BinomialIneligible:
-        return (False, None)
-    for k in range(2, len(coefficients)):
-        if not eq_weight_sum(rank, coefficients[k],
-                             weight_sum(rank, [ref[k]])):
-            return (False, None)
-    return (True, exponent)
+def _convolution_power(base: Mapping[int, _T], exponent: int, order: int,
+                       one: _T, add: Callable[[_T, _T], _T],
+                       mul: Callable[[_T, _T], _T]) -> dict[int, _T]:
+    """The exponent-th convolution power of a sparse degree to
+    coefficient series, dropping every degree beyond the order.  The
+    coefficient ring is given by its one, add and mul."""
+    out = {0: one}
+    for _ in range(exponent):
+        nxt: dict[int, _T] = {}
+        for i, a in out.items():
+            for j, b in base.items():
+                k = i + j
+                if k > order:
+                    continue
+                term = mul(a, b)
+                nxt[k] = add(nxt[k], term) if k in nxt else term
+        out = nxt
+    return out
 
 
 def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
@@ -300,21 +291,12 @@ def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
     """Truncated convolution power of a coefficient list."""
     if exponent < 0:
         raise InvalidModel("negative convolution power")
-    base = list(coefficients[:order + 1])
-    base += [()] * (order + 1 - len(base))
-    out: list[WeightSum] = [ws_unit(rank)] + [()] * order
-    for _ in range(exponent):
-        nxt: list[WeightSum] = [()] * (order + 1)
-        for i in range(order + 1):
-            if not out[i]:
-                continue
-            for j in range(order + 1 - i):
-                if not base[j]:
-                    continue
-                nxt[i + j] = ws_add(rank, nxt[i + j],
-                                    ws_mul(rank, out[i], base[j]))
-        out = nxt
-    return out
+    if order < 0:
+        raise InvalidModel("order must be nonnegative")
+    base = {j: c for j, c in enumerate(coefficients[:order + 1]) if c}
+    out = _convolution_power(base, exponent, order, ws_unit(rank),
+                             partial(ws_add, rank), partial(ws_mul, rank))
+    return [out.get(k, ()) for k in range(order + 1)]
 
 
 def one_leg_exponent(rank: int) -> WeightFunction:
@@ -431,14 +413,6 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     for m, c in count_series(counts).items():
         key = twist * m
         base[key] = base.get(key, Fraction(0)) + c
-    out: CountSeries = {0: Fraction(1)}
-    for _ in range(rank):
-        nxt: CountSeries = {}
-        for i, a in out.items():
-            for j, b in base.items():
-                if i + j > order:
-                    continue
-                key = i + j
-                nxt[key] = nxt.get(key, Fraction(0)) + a * b
-        out = nxt
+    out = _convolution_power(base, rank, order, Fraction(1),
+                             operator.add, operator.mul)
     return {m: c for m, c in sorted(out.items()) if c}

@@ -18,18 +18,30 @@ ones can be checked against them: ``eq_weight_sum_expanded`` decides
 equality of two weight sums by full expansion over the product of all
 denominators, and ``evaluate_fraction`` evaluates a weight function in
 ``Fraction`` arithmetic, factor by factor.
+
+Finally it holds the tools only the tests need: ``eq_rational``, equality
+of values of rational characters; ``poly_substituted`` and
+``char_substituted``, signed monomial substitutions, which the raw road
+uses to change charts; ``binomiality_test``, which recognizes a binomial
+coefficient list; and ``box_model``, the Hilbert polynomial model of a
+fixed point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from hftvertex.chars import (CharError, LaurentPoly, Monomial,
                              RationalCharacter, VariableSet,
-                             VariableSetMismatch, one_minus)
-from hftvertex.fixedpoints import BoxTuple
-from hftvertex.localize import DivisionByZero, form_text
+                             VariableSetMismatch, ZeroDenominator,
+                             one_minus)
+from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
+                                   hilbert_poly, poly_add)
+from hftvertex.localize import DivisionByZero, form_text, weight_function
+from hftvertex.series import (BinomialIneligible, binomial_series,
+                              eq_weight_sum, weight_sum, ws_unit)
 from hftvertex.vertexchar import frame_sum, frame_sum_inv
 
 
@@ -286,7 +298,7 @@ def edge_character_raw(vars: VariableSet, g: RationalCharacter,
     characters cancels their shares of g exactly; the tests check that
     identity at the level of rational characters.
     """
-    shifted = g.substituted(edge_shift(vars, edge))
+    shifted = char_substituted(g, edge_shift(vars, edge))
     t1inv = vars.mono(t1=-1)
     moved = g * LaurentPoly.monomial(vars, t1inv)
     return (moved - shifted) * RationalCharacter(
@@ -372,3 +384,159 @@ def evaluate_fraction(wf, point) -> Fraction:
                 % form_text(wf.rank, f))
         value /= d
     return value
+
+
+def eq_rational(a: RationalCharacter, b: RationalCharacter) -> bool:
+    """Decide equality of values by cross multiplying the denominators."""
+    if a.vars != b.vars:
+        raise VariableSetMismatch(
+            "cannot compare %r with %r" % (a.vars, b.vars))
+    left, right = a.num, b.num
+    for m in b.den:
+        left = left * one_minus(a.vars, m)
+    for m in a.den:
+        right = right * one_minus(a.vars, m)
+    return left == right
+
+
+class InvalidReplacement(CharError):
+    """A substitution image is not a signed monomial."""
+
+
+def _checked_images(
+    vars: VariableSet,
+    images: Mapping[int, tuple[int, Monomial]],
+) -> list[tuple[int, Monomial]]:
+    """Fill a full substitution table, mapping unlisted variables to
+    themselves, and validate every listed image."""
+    full: list[tuple[int, Monomial]] = []
+    for i in range(vars.nvars):
+        axis = [0] * vars.nvars
+        axis[i] = 1
+        full.append((1, tuple(axis)))
+    for i, image in images.items():
+        idx = int(i)
+        if not 0 <= idx < vars.nvars:
+            raise InvalidReplacement("no variable with index %d" % idx)
+        try:
+            sign, u = image
+        except (TypeError, ValueError):
+            raise InvalidReplacement(
+                "image must be a (sign, exponent tuple) pair") from None
+        if sign not in (1, -1):
+            raise InvalidReplacement(
+                "sign must be +1 or -1, got %r" % (sign,))
+        uu = tuple(int(x) for x in u)
+        if len(uu) != vars.nvars:
+            raise InvalidReplacement(
+                "image exponent tuple has length %d, expected %d"
+                % (len(uu), vars.nvars))
+        full[idx] = (int(sign), uu)
+    return full
+
+
+def _signed_image(imgs: list[tuple[int, Monomial]],
+                  exps: Monomial) -> tuple[int, Monomial]:
+    """Image of the monomial ``exps`` under a full substitution table, as
+    a sign and an exponent tuple."""
+    sign = 1
+    acc = [0] * len(imgs)
+    for i, p in enumerate(exps):
+        if not p:
+            continue
+        s, u = imgs[i]
+        if s < 0 and p % 2:
+            sign = -sign
+        for k, x in enumerate(u):
+            acc[k] += p * x
+    return sign, tuple(acc)
+
+
+def _poly_image(poly: LaurentPoly,
+                imgs: list[tuple[int, Monomial]]) -> LaurentPoly:
+    """Image of a Laurent polynomial under a full substitution table."""
+    out: dict[Monomial, Fraction] = {}
+    for e, c in poly.terms.items():
+        sign, key = _signed_image(imgs, e)
+        out[key] = out.get(key, Fraction(0)) + (c if sign > 0 else -c)
+    return LaurentPoly(poly.vars, out)
+
+
+def poly_substituted(poly: LaurentPoly,
+                     images: Mapping[int, tuple[int, Monomial]]
+                     ) -> LaurentPoly:
+    """Apply the ring map sending each listed variable to a signed
+    monomial; unlisted variables are fixed."""
+    return _poly_image(poly, _checked_images(poly.vars, images))
+
+
+def char_substituted(char: RationalCharacter,
+                     images: Mapping[int, tuple[int, Monomial]]
+                     ) -> RationalCharacter:
+    """Apply a signed monomial substitution to the whole quotient.
+
+    Denominator factors are rewritten so the result is again of the
+    ``num / prod (1 - m)`` shape: an image with negative sign uses
+    ``1/(1 + u) = (1 - u)/(1 - u^2)``, the constant image ``-1``
+    contributes a scalar ``1/2``, and the constant image ``+1`` makes
+    the factor vanish, which raises ``ZeroDenominator``.
+    """
+    imgs = _checked_images(char.vars, images)
+    num = _poly_image(char.num, imgs)
+    den: list[Monomial] = []
+    scalar = Fraction(1)
+    for m in char.den:
+        sign, image = _signed_image(imgs, m)
+        if not any(image):
+            if sign > 0:
+                raise ZeroDenominator(
+                    "substitution sends a denominator factor to zero")
+            scalar /= 2
+        elif sign > 0:
+            den.append(image)
+        else:
+            num = num * one_minus(char.vars, image)
+            den.append(tuple(2 * x for x in image))
+    if scalar != 1:
+        num = num.scaled(scalar)
+    return RationalCharacter(char.vars, num, den)
+
+
+def binomiality_test(rank: int, coefficients):
+    """Decide whether a coefficient list is a generalized binomial
+    series (1 + q) ** E, and if so return ``(True, E)``.
+
+    The order zero coefficient must be one.  The exponent candidate is
+    the order one coefficient; a multi term or ineligible candidate
+    fails immediately, and otherwise every higher coefficient is
+    compared exactly with the corresponding binomial coefficient.
+    """
+    if not coefficients:
+        return (False, None)
+    if not eq_weight_sum(rank, coefficients[0], ws_unit(rank)):
+        return (False, None)
+    if len(coefficients) == 1:
+        return (True, None)
+    c1 = coefficients[1]
+    if len(c1) > 1:
+        return (False, None)
+    exponent = c1[0] if c1 else weight_function(rank, 0)
+    try:
+        ref = binomial_series(exponent, len(coefficients) - 1)
+    except BinomialIneligible:
+        return (False, None)
+    for k in range(2, len(coefficients)):
+        if not eq_weight_sum(rank, coefficients[k],
+                             weight_sum(rank, [ref[k]])):
+            return (False, None)
+    return (True, exponent)
+
+
+def box_model(box: BoxTuple) -> FrozenTripleModel:
+    """Polynomial model of the sheaf cut out by a box tuple: rank many
+    line modules plus a zero dimensional tail of the total box count, the
+    framing image being the line part."""
+    r, k = box.rank, box.total
+    line = hilbert_poly((r, r))
+    return FrozenTripleModel(r, poly_add(line, hilbert_poly((k,))), line,
+                             ((line, True),))

@@ -6,6 +6,8 @@ common denominator.  ``WeightFunction.evaluate`` clears the point's
 denominators once and works in integers.  Both are checked here against
 the slow roads kept in ``tests/oracles.py``, against sympy where it is
 installed, and on sums built so that evaluation cannot decide them.
+``weight_sum`` builds its terms without canonicalizing them again; a
+property checks that they are already canonical.
 """
 
 import time
@@ -59,6 +61,25 @@ def weight_functions(draw, rank, max_factors=4):
     num = draw(st.lists(_forms(rank), max_size=max_factors))
     den = draw(st.lists(_forms(rank), max_size=max_factors))
     return weight_function(rank, scalar, num, den)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_weight_sum_terms_are_canonical(data):
+    # grouping reuses each term's factor data under the summed scalar;
+    # sending every output term through weight_function changes nothing,
+    # and the terms are sorted by distinct factor data
+    rank = data.draw(st.integers(1, 2))
+    items = data.draw(st.lists(weight_functions(rank, 2), max_size=6))
+    scales = data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=len(items)))
+    items += [wf.scaled(c) for wf, c in zip(items, scales)]
+    total = weight_sum(rank, items)
+    assert total == tuple(weight_function(rank, wf.scalar, wf.num, wf.den)
+                          for wf in total)
+    keys = [(wf.num, wf.den) for wf in total]
+    assert keys == sorted(set(keys))
 
 
 _COORDINATES = st.one_of(

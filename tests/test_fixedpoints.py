@@ -9,12 +9,12 @@ import pytest
 
 from hftvertex.chars import LaurentPoly, RationalCharacter, VariableSet
 from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel, InvalidModel,
-                                   InvalidStabilityParameter, box_model,
-                                   compositions, enumerate_fixed,
-                                   hilbert_poly, limit_stable_equiv,
+                                   InvalidStabilityParameter, compositions,
+                                   enumerate_fixed, hilbert_poly,
+                                   limit_stable_equiv,
                                    poly_compare_asymptotic, rank_coefficient,
                                    tau_stability_check)
-from oracles import char_from_poincare, poincare_from_char
+from oracles import box_model, char_from_poincare, poincare_from_char
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)

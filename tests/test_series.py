@@ -11,12 +11,12 @@ from hftvertex.localize import (DivisionByZero, parse_specialization,
                                 weight_function)
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
                               assemble_vertex, binomial_series,
-                              binomiality_test, closed_form_series,
-                              compare_rows, count_series, eq_weight_sum,
-                              hft_partition, leg_strata,
+                              closed_form_series, compare_rows, count_series,
+                              eq_weight_sum, hft_partition, leg_strata,
                               one_leg_exponent, power, reference_series,
                               weight_sum, ws_add, ws_mul, ws_scale, ws_text,
                               ws_to_json, ws_unit)
+from oracles import binomiality_test
 
 
 def wf1(scalar, num=(), den=()):
@@ -156,6 +156,46 @@ def test_power():
     assert rows == [ws_unit(1), (), ()]
     with pytest.raises(InvalidModel):
         power(1, [ws_unit(1)], -1, 2)
+    with pytest.raises(InvalidModel):
+        power(1, [ws_unit(1)], 2, -1)
+
+
+def brute_power(rank, coefficients, exponent, order):
+    out = [()] * (order + 1)
+    for combo in itertools.product(range(len(coefficients)),
+                                   repeat=exponent):
+        degree = sum(combo)
+        if degree > order:
+            continue
+        term = ws_unit(rank)
+        for j in combo:
+            term = ws_mul(rank, term, coefficients[j])
+        out[degree] = ws_add(rank, out[degree], term)
+    return out
+
+
+def random_form(rng, rank):
+    while True:
+        form = tuple(rng.randint(-1, 2) for _ in range(3 + rank))
+        if any(form):
+            return form
+
+
+def test_power_matches_multinomial_expansion():
+    rng = random.Random(555)
+    for _ in range(30):
+        rank = rng.randint(1, 2)
+        pool = [weight_function(
+            rank, Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)),
+            [random_form(rng, rank) for _ in range(rng.randint(0, 1))],
+            [random_form(rng, rank) for _ in range(rng.randint(0, 1))])
+            for _ in range(3)]
+        coefficients = [weight_sum(rank, rng.sample(pool, rng.randint(0, 2)))
+                        for _ in range(rng.randint(1, 4))]
+        exponent = rng.randint(0, 3)
+        order = rng.randint(0, 5)
+        assert power(rank, coefficients, exponent, order) == brute_power(
+            rank, coefficients, exponent, order)
 
 
 def test_closed_form_series_on_cy_slice():
