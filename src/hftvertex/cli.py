@@ -115,7 +115,7 @@ def _parse_model(data) -> FrozenTripleModel:
         raise UsageError("model file must be a JSON object")
     try:
         return FrozenTripleModel.from_json(data)
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as err:
         raise UsageError("bad model file: %s" % err) from None
 
 

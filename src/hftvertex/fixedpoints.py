@@ -197,11 +197,22 @@ class FrozenTripleModel:
 
     @classmethod
     def from_json(cls, data: Mapping) -> FrozenTripleModel:
-        subs = tuple(
-            (hilbert_poly(entry["p"]), bool(entry["factors"]))
-            for entry in data.get("subobjects", ()))
-        return cls(int(data["rank"]), hilbert_poly(data["p_total"]),
-                   hilbert_poly(data["p_image"]), subs)
+        """Read parsed JSON, refusing floats, booleans used as numbers
+        and flags that are not booleans rather than converting them."""
+        def poly(value) -> HilbertPoly:
+            if not isinstance(value, list) or any(
+                    isinstance(c, (bool, float)) for c in value):
+                raise ValueError("bad polynomial %r" % (value,))
+            return hilbert_poly(value)
+        subs = []
+        for entry in data.get("subobjects", ()):
+            if not isinstance(entry["factors"], bool):
+                raise ValueError("bad factors flag %r" % (entry["factors"],))
+            subs.append((poly(entry["p"]), entry["factors"]))
+        if type(data["rank"]) is not int:
+            raise ValueError("bad rank %r" % (data["rank"],))
+        return cls(data["rank"], poly(data["p_total"]),
+                   poly(data["p_image"]), tuple(subs))
 
 
 def tau_stability_check(model: FrozenTripleModel,

@@ -5,8 +5,8 @@ parameters s1, s2, s3, v1, ..., vr: the exponent vector read off as
 coefficients.  The fixed point contribution is a product of such linear
 forms divided by another such product, stored exactly as a
 ``WeightFunction``: a rational scalar together with two sorted multisets
-of primitive integer forms.  Two contributions are equal exactly when
-their canonical forms coincide.
+of primitive integer forms, built in integer arithmetic.  Two
+contributions are equal exactly when their canonical forms coincide.
 
 Specializations substitute affine rational expressions for parameters,
 for example the Calabi Yau slice s3 = -s1 - s2.  A specialized factor
@@ -69,8 +69,7 @@ def form_text(rank: int, form: Sequence) -> str:
         raise VariableSetMismatch(
             "form of length %d for rank %d" % (len(form), rank))
     parts: list[str] = []
-    for name, coeff in zip(names, form):
-        c = Fraction(coeff)
+    for name, c in zip(names, form):
         if not c:
             continue
         mag = abs(c)
@@ -82,22 +81,6 @@ def form_text(rank: int, form: Sequence) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _primitive(vec: Sequence[Fraction | int]) -> tuple[Fraction, WeightForm]:
-    """Write a nonzero rational vector as scale * primitive integer
-    vector with positive first nonzero entry and content one."""
-    fr = [Fraction(x) for x in vec]
-    scale_den = lcm(*(f.denominator for f in fr)) if fr else 1
-    ints = [int(f * scale_den) for f in fr]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    first = next(x for x in ints if x)
-    if first < 0:
-        content = -content
-    prim = tuple(x // content for x in ints)
-    return (Fraction(content, scale_den), prim)
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """Canonical product of linear forms over a product of linear forms,
@@ -107,8 +90,8 @@ class WeightFunction:
     Canonical means: every form is primitive (integer entries with
     content one and a positive first nonzero entry), ``num`` and ``den``
     are sorted, no form appears in both, and a zero scalar carries no
-    forms.  ``weight_function`` builds that form from any input.  Build
-    an instance directly only from the ``num`` and ``den`` of a
+    forms.  ``weight_function`` builds it in integers from any input.
+    Build an instance directly only from the ``num`` and ``den`` of a
     canonical instance and a nonzero scalar, which keeps it canonical."""
 
     rank: int
@@ -229,43 +212,49 @@ def value_parts(items: Sequence[WeightFunction],
     return top, bottom
 
 
-def _primitive_forms(rank: int, forms: Sequence[Sequence], s: Fraction,
-                     den: bool, where: str
-                     ) -> tuple[Fraction, list[WeightForm]]:
-    """Primitive representatives of the numerator (or, with ``den``,
-    the denominator) forms, sorted, with their scales folded into the
-    scalar ``s``."""
+def _primitive_forms(rank: int, forms: Sequence[Sequence], den: bool,
+                     where: str) -> tuple[int, int, list[WeightForm]]:
+    """Sorted primitive representatives of the numerator (or, with
+    ``den``, the denominator) forms, and, as an integer numerator and
+    denominator, the factor their scales put on the scalar.  A form of
+    content c over least common denominator m has scale +-c/m."""
+    top = bottom = 1
     prims: list[WeightForm] = []
     for f in forms:
-        vec = tuple(Fraction(x) for x in f)
-        if len(vec) != 3 + rank:
+        if len(f) != 3 + rank:
             raise VariableSetMismatch(
-                "form of length %d for rank %d" % (len(vec), rank))
-        if not any(vec):
+                "form of length %d for rank %d" % (len(f), rank))
+        m = lcm(*[x.denominator for x in f])
+        ints = [x.numerator * (m // x.denominator) for x in f]
+        c = gcd(*ints)
+        if not c:
             if den:
                 raise DivisionByZero("zero weight in a denominator%s" % where)
             raise ZeroWeight("zero weight in a numerator%s" % where)
-        lam, prim = _primitive(vec)
-        s = s / lam if den else s * lam
-        prims.append(prim)
+        if next(x for x in ints if x) < 0:
+            c = -c
+        prims.append(tuple([x // c for x in ints]))
+        top *= c
+        bottom *= m
     prims.sort()
-    return s, prims
+    return (bottom, top, prims) if den else (top, bottom, prims)
 
 
 def weight_function(rank: int, scalar: Fraction | int,
                     num: Sequence[Sequence] = (),
                     den: Sequence[Sequence] = (),
                     context: str | None = None) -> WeightFunction:
-    """Canonical constructor.  Forms may have rational entries; each is
-    rescaled to its primitive integer representative with the scale
-    folded into the scalar.  Identical factors shared by numerator and
-    denominator cancel as multisets."""
-    s = Fraction(scalar)
+    """Canonical constructor.  Forms may have int or Fraction entries;
+    each is rescaled to its primitive integer representative with the
+    scale folded into the scalar in one exact division.  Identical
+    factors shared by numerator and denominator cancel as multisets."""
+    if not scalar:
+        return WeightFunction(rank, Fraction(0), (), ())
     where = " in %s" % context if context else ""
-    if not s:
-        return WeightFunction(rank, s, (), ())
-    s, nn = _primitive_forms(rank, num, s, False, where)
-    s, dd = _primitive_forms(rank, den, s, True, where)
+    n_top, n_bottom, nn = _primitive_forms(rank, num, False, where)
+    d_top, d_bottom, dd = _primitive_forms(rank, den, True, where)
+    s = Fraction(scalar.numerator * n_top * d_top,
+                 scalar.denominator * n_bottom * d_bottom)
     i = j = 0
     keep_n: list[WeightForm] = []
     keep_d: list[WeightForm] = []

@@ -19,6 +19,12 @@ equality of two weight sums by full expansion over the product of all
 denominators, and ``evaluate_fraction`` evaluates a weight function in
 ``Fraction`` arithmetic, factor by factor.
 
+The first canonicalizer of weight functions is kept too:
+``weight_function_fraction`` builds the canonical form in ``Fraction``
+arithmetic, one form at a time, and ``form_text_fraction`` renders a form
+through ``Fraction`` coefficients.  The package builds the form in
+integers and prints the coefficients it is given.
+
 Finally it holds the tools only the tests need: ``eq_rational``, equality
 of values of rational characters; ``poly_substituted`` and
 ``char_substituted``, signed monomial substitutions, which the raw road
@@ -29,9 +35,11 @@ fixed point.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from hftvertex.chars import (CharError, LaurentPoly, Monomial,
                              RationalCharacter, VariableSet,
@@ -39,7 +47,8 @@ from hftvertex.chars import (CharError, LaurentPoly, Monomial,
                              one_minus)
 from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
                                    hilbert_poly, poly_add)
-from hftvertex.localize import DivisionByZero, form_text, weight_function
+from hftvertex.localize import (DivisionByZero, WeightFunction, ZeroWeight,
+                                form_text, param_names, weight_function)
 from hftvertex.series import (BinomialIneligible, binomial_series,
                               eq_weight_sum, weight_sum, ws_unit)
 from hftvertex.vertexchar import frame_sum, frame_sum_inv
@@ -384,6 +393,78 @@ def evaluate_fraction(wf, point) -> Fraction:
                 % form_text(wf.rank, f))
         value /= d
     return value
+
+
+def _primitive(vec) -> tuple[Fraction, tuple[int, ...]]:
+    """Write a nonzero rational vector as scale * primitive integer
+    vector with positive first nonzero entry and content one."""
+    fr = [Fraction(x) for x in vec]
+    scale_den = lcm(*(f.denominator for f in fr)) if fr else 1
+    ints = [int(f * scale_den) for f in fr]
+    content = 0
+    for x in ints:
+        content = gcd(content, x)
+    first = next(x for x in ints if x)
+    if first < 0:
+        content = -content
+    prim = tuple(x // content for x in ints)
+    return (Fraction(content, scale_den), prim)
+
+
+def _primitive_forms(rank: int, forms, s: Fraction, den: bool, where: str):
+    """Primitive representatives of the numerator (or, with ``den``,
+    the denominator) forms, sorted, with their scales folded into the
+    scalar ``s``."""
+    prims = []
+    for f in forms:
+        vec = tuple(Fraction(x) for x in f)
+        if len(vec) != 3 + rank:
+            raise VariableSetMismatch(
+                "form of length %d for rank %d" % (len(vec), rank))
+        if not any(vec):
+            if den:
+                raise DivisionByZero("zero weight in a denominator%s" % where)
+            raise ZeroWeight("zero weight in a numerator%s" % where)
+        lam, prim = _primitive(vec)
+        s = s / lam if den else s * lam
+        prims.append(prim)
+    prims.sort()
+    return s, prims
+
+
+def weight_function_fraction(rank: int, scalar, num=(), den=(),
+                             context: str | None = None) -> WeightFunction:
+    """The canonical weight function built in ``Fraction`` arithmetic:
+    each form is rescaled to its primitive integer representative with
+    its scale folded into the scalar one division at a time, and the
+    factors shared by numerator and denominator cancel as multisets."""
+    s = Fraction(scalar)
+    where = " in %s" % context if context else ""
+    if not s:
+        return WeightFunction(rank, s, (), ())
+    s, nn = _primitive_forms(rank, num, s, False, where)
+    s, dd = _primitive_forms(rank, den, s, True, where)
+    shared = Counter(nn) & Counter(dd)
+    keep_n = sorted((Counter(nn) - shared).elements())
+    keep_d = sorted((Counter(dd) - shared).elements())
+    return WeightFunction(rank, s, tuple(keep_n), tuple(keep_d))
+
+
+def form_text_fraction(rank: int, form) -> str:
+    """Render a linear form with every coefficient made a ``Fraction``
+    first."""
+    parts = []
+    for name, coeff in zip(param_names(rank), form):
+        c = Fraction(coeff)
+        if not c:
+            continue
+        mag = abs(c)
+        body = name if mag == 1 else "%s*%s" % (mag, name)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
+    return "".join(parts) if parts else "0"
 
 
 def eq_rational(a: RationalCharacter, b: RationalCharacter) -> bool:

@@ -216,6 +216,27 @@ def test_exit_code_two_on_bad_files(tmp_path, capsys):
     code, _, err = run(capsys, [
         "stability", "--model-file", str(bad), "--q-poly", "0,0,1"])
     assert code == 2 and "bad model file" in err
+    # floats, booleans read as numbers, strings read as lists or flags
+    good_model = {"rank": 1, "p_total": ["2", "1"], "p_image": ["1", "1"],
+                  "subobjects": [{"p": ["1", "1"], "factors": False}]}
+    sub = good_model["subobjects"][0]
+    for change in ({"p_total": None}, {"p_total": [0.1, 1]},
+                   {"p_image": [1, True]}, {"p_total": "21"},
+                   {"rank": True}, {"rank": 1.9}, {"rank": "1"},
+                   {"subobjects": [{**sub, "factors": "false"}]},
+                   {"subobjects": [{**sub, "factors": 0}]},
+                   {"subobjects": [{**sub, "p": ["1/0"]}]},
+                   {"subobjects": [{"p": ["1"]}]}):
+        doc = {k: v for k, v in {**good_model, **change}.items()
+               if v is not None}
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "stability", "--model-file", str(bad), "--q-poly", "0,0,1"])
+        assert code == 2 and out == "", change
+        assert err.startswith("error: bad model file"), change
+    bad.write_text(json.dumps(good_model))
+    assert run(capsys, ["stability", "--model-file", str(bad),
+                        "--q-poly", "0,0,1"])[0] == 0
     good = tmp_path / "model.json"
     good.write_text(json.dumps(
         {"rank": 1, "p_total": ["1", "1"], "p_image": ["1", "1"],

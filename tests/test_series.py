@@ -146,6 +146,36 @@ def test_binomiality_of_assembled_untwisted_rank_one():
     assert exponent == one_leg_exponent(1)
 
 
+def test_untwisted_rank_one_series_matches_sympy():
+    # criterion 1 against an oracle that shares no code with series.py:
+    # sympy expands (1+q)^((s2+s3)/s1) itself, and the assembled
+    # coefficients are read back from their JSON form
+    sympy = pytest.importorskip("sympy")
+    s1, s2, s3, q = sympy.symbols("s1 s2 s3 q")
+    order = 6
+    want = sympy.series((1 + q) ** ((s2 + s3) / s1), q, 0,
+                        order + 1).removeO()
+    params = (s1, s2, s3, sympy.Symbol("v1"))
+
+    def linear(form):
+        return sum(c * p for c, p in zip(form, params))
+
+    doc = assemble_vertex(1, 0, order).to_json()
+    assert [c["k"] for c in doc["coefficients"]] == list(range(order + 1))
+    for c in doc["coefficients"]:
+        # one term is written as an object, several as a list
+        terms = c["value"] if isinstance(c["value"], list) else [c["value"]]
+        got = sympy.Integer(0)
+        for term in terms:
+            value = sympy.Rational(term["scalar"])
+            for f in term["num"]:
+                value *= linear(f)
+            for f in term["den"]:
+                value /= linear(f)
+            got += value
+        assert sympy.cancel(got - want.coeff(q, c["k"])) == 0, c["k"]
+
+
 def test_power():
     a = (wf1(1, [(1, 0, 0, 0)], [(0, 1, 0, 0)]),)
     rows = power(1, [ws_unit(1), a], 2, 2)
