@@ -19,7 +19,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .chars import HftError
-from .fixedpoints import (FrozenTripleModel, hilbert_poly,
+from .fixedpoints import (FrozenTripleModel, InvalidModel, hilbert_poly,
                           limit_stable_equiv, tau_stability_check)
 from .localize import SpecializationSyntax, parse_specialization
 from .series import (InvalidCounts, assemble_vertex, compare_rows,
@@ -115,7 +115,8 @@ def _parse_model(data) -> FrozenTripleModel:
         raise UsageError("model file must be a JSON object")
     try:
         return FrozenTripleModel.from_json(data)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as err:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError,
+            InvalidModel) as err:
         raise UsageError("bad model file: %s" % err) from None
 
 

@@ -8,6 +8,13 @@ forms divided by another such product, stored exactly as a
 of primitive integer forms, built in integer arithmetic.  Two
 contributions are equal exactly when their canonical forms coincide.
 
+At a fixed point the frame splits into r summands and the character
+into their shares, so the Euler class of its negative is the product
+of the summands' Euler classes.  A contribution gathers the factors of
+each summand that carries boxes and canonicalizes them once; since the
+canonical form is unique, that product is the very weight function the
+whole character gives.
+
 Specializations substitute affine rational expressions for parameters,
 for example the Calabi Yau slice s3 = -s1 - s2.  A specialized factor
 either stays a genuine linear form, collapses to a nonzero constant that
@@ -297,13 +304,19 @@ def weights_of(poly: LaurentPoly) -> list[tuple[int, WeightForm]]:
     return out
 
 
+def _minus_factors(weights: Sequence[tuple[int, WeightForm]]
+                   ) -> tuple[list[WeightForm], list[WeightForm]]:
+    """Numerator and denominator factors of the Euler class of the
+    negative of a signed weight multiset."""
+    return ([f for sign, f in weights if sign < 0],
+            [f for sign, f in weights if sign > 0])
+
+
 def euler_of_minus(rank: int, weights: Sequence[tuple[int, WeightForm]],
                    context: str | None = None) -> WeightFunction:
     """Equivariant Euler class of the negative of a signed weight
     multiset: positive weights divide, negative weights multiply."""
-    num = [f for sign, f in weights if sign < 0]
-    den = [f for sign, f in weights if sign > 0]
-    return weight_function(rank, 1, num, den, context)
+    return weight_function(rank, 1, *_minus_factors(weights), context)
 
 
 def _cross_shifts(rank: int, j: int) -> tuple[list[int], list[int]]:
@@ -337,28 +350,41 @@ def _cross_shifts(rank: int, j: int) -> tuple[list[int], list[int]]:
     return num, den
 
 
-def _paper_contribution(rank: int, box: BoxTuple, twist: int,
-                        context: str) -> WeightFunction:
+def _paper_factors(rank: int, j: int, load: int, twist: int
+                   ) -> tuple[list[list[int]], list[list[int]]]:
+    """Numerator and denominator factors of the printed formula for
+    frame summand j carrying ``load`` boxes on its two legs together."""
+    cross_num, cross_den = _cross_shifts(rank, j)
     nums: list[list[int]] = []
     dens: list[list[int]] = []
-    for j in range(rank):
-        load = box.alpha[j] + box.beta[j]
-        cross_num, cross_den = _cross_shifts(rank, j)
-        for i in range(load):
-            f = list(cross_num)
-            f[0] += i + twist
-            f[1] -= 1
-            f[2] -= 1
-            nums.append(f)
-        for i in range(1, load + 1):
-            f = list(cross_den)
-            f[0] -= i + twist
-            dens.append(f)
-    return weight_function(rank, 1, nums, dens, context)
+    for i in range(load):
+        f = list(cross_num)
+        f[0] += i + twist
+        f[1] -= 1
+        f[2] -= 1
+        nums.append(f)
+    for i in range(1, load + 1):
+        f = list(cross_den)
+        f[0] -= i + twist
+        dens.append(f)
+    return nums, dens
+
+
+def _summand_factors(vars: VariableSet, j: int, alpha: int, beta: int,
+                     twist: int, mode: str) -> tuple[list, list]:
+    """Numerator and denominator factors of the share of frame summand j
+    with ``alpha`` and ``beta`` boxes on the two legs."""
+    if mode == "paper":
+        return _paper_factors(vars.rank, j, alpha + beta, twist)
+    zeros = [0] * vars.rank
+    part = BoxTuple(zeros[:j] + [alpha] + zeros[j + 1:],
+                    zeros[:j] + [beta] + zeros[j + 1:])
+    return _minus_factors(weights_of(total_character(vars, part, twist)))
 
 
 def contribution(vars: VariableSet, box: BoxTuple, twist: int,
-                 mode: str = "character") -> WeightFunction:
+                 mode: str = "character", *,
+                 summands: dict | None = None) -> WeightFunction:
     """Localization contribution of one fixed point.
 
     Mode ``character`` derives the weights from the closed form
@@ -366,6 +392,21 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
     negative.  Mode ``paper`` evaluates the printed per summand factor
     formulas instead; the two modes agree in rank one at twist zero and
     are both kept so their outputs can be compared elsewhere.
+
+    Both are products over the frame summands that carry boxes.  The
+    character of a fixed point is the sum of its summands' shares, each
+    the character of the fixed point that keeps only that summand's
+    boxes, since the blocks of an empty summand are zero.  The Euler
+    class of a negative sum is the product of the Euler classes, so the
+    factors of the shares are concatenated and canonicalized in one
+    ``weight_function`` call; a weight that one share adds and another
+    takes away cancels there as a shared factor.  The canonical form is
+    unique, so the result is the one the whole character gives.
+
+    ``summands``, when given, maps ``(j, alpha_j, beta_j, twist, mode)``
+    to the factors of that share, and is filled as shares are built, so
+    a caller that sums many fixed points of one rank builds each share
+    once.  One dict serves one variable set.
     """
     if box.rank != vars.rank:
         raise VariableSetMismatch(
@@ -373,11 +414,22 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
             % (box.rank, vars.rank))
     if mode not in ("character", "paper"):
         raise ModeUnavailable("unknown contribution mode %r" % (mode,))
-    context = "contribution of %r at twist %d" % (box, twist)
-    if mode == "character":
-        poly = total_character(vars, box, twist)
-        return euler_of_minus(vars.rank, weights_of(poly), context)
-    return _paper_contribution(vars.rank, box, twist, context)
+    if summands is None:
+        summands = {}
+    nums: list = []
+    dens: list = []
+    for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta)):
+        if not alpha and not beta:
+            continue
+        key = (j, alpha, beta, twist, mode)
+        factors = summands.get(key)
+        if factors is None:
+            factors = summands[key] = _summand_factors(
+                vars, j, alpha, beta, twist, mode)
+        nums.extend(factors[0])
+        dens.extend(factors[1])
+    return weight_function(vars.rank, 1, nums, dens,
+                           "contribution of %r at twist %d" % (box, twist))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ values: canonical tuples of weight functions, grouped by their factor
 data.  Exact equality of two weight sums is decided in two exact steps:
 integer evaluation at a few fixed points, where differing values prove
 the sums unequal, then, only when every point agrees, expansion of the
-difference over the least common denominator of its terms.
+difference over the least common denominator of its terms.  Each
+contribution is a product over frame summands, and one assembly builds
+the factors of each summand once and reuses them in every stratum that
+shares it.
 
 At a fixed point the frame splits into r summands, so both the closed
 form counterpart and the count series are the r-th truncated convolution
@@ -207,15 +210,22 @@ def assemble_vertex(rank: int, twist: int, order: int,
     """Vertex series: coefficient k sums the contributions of the first
     leg strata with k boxes.  The order zero coefficient is one.  A
     specialization, when given, applies to each contribution separately
-    so error messages can name the fixed point responsible."""
+    so error messages can name the fixed point responsible.
+
+    Each contribution is a product over the frame summands that carry
+    boxes, and a stratum's summand j with a boxes recurs in every
+    stratum of the call that gives summand j a boxes.  So the call
+    keeps one dict of summand factors, passed to ``contribution``, and
+    builds each summand once; the dict dies with the call."""
     if order < 0:
         raise InvalidModel("order must be nonnegative")
     vars = VariableSet(rank)
+    summands: dict = {}
     coeffs: list[WeightSum] = [ws_unit(rank)]
     for k in range(1, order + 1):
         items = []
         for box in leg_strata(rank, k):
-            wf = contribution(vars, box, twist, mode)
+            wf = contribution(vars, box, twist, mode, summands=summands)
             if spec is not None and not spec.is_trivial():
                 wf = specialize(
                     wf, spec, "contribution of %r at twist %d"

@@ -2,7 +2,9 @@
 
 The character of a fixed point is written per frame summand as finite
 geometric blocks on the two chart legs, and their sum reduces by exact
-division to an honest Laurent polynomial.  That is the only road the
+division to an honest Laurent polynomial.  The blocks of a summand
+without boxes are zero, so the character of a fixed point is the sum of
+the characters of the fixed points that keep one summand's boxes each.  That is the only road the
 package takes; the raw road through the two chart traces and the edge
 terms lives in the tests as an independent oracle.
 """
@@ -51,7 +53,9 @@ def geometric_sum(vars: VariableSet, first: Monomial, ratio: Monomial,
 def alpha_block(vars: VariableSet, j: int, boxes: int,
                 twist: int) -> RationalCharacter:
     """Closed form share of frame summand j with ``boxes`` boxes on the
-    first chart leg at the given twist."""
+    first chart leg at the given twist; zero without boxes."""
+    if boxes == 0:
+        return RationalCharacter.constant(vars, 0)
     swi = frame_sum_inv(vars)
     sw = frame_sum(vars)
     up = geometric_sum(
@@ -66,7 +70,10 @@ def alpha_block(vars: VariableSet, j: int, boxes: int,
 
 def beta_block(vars: VariableSet, j: int, boxes: int) -> RationalCharacter:
     """Closed form share of frame summand j with ``boxes`` boxes on the
-    second chart leg; independent of the twist."""
+    second chart leg; independent of the twist, and zero without
+    boxes."""
+    if boxes == 0:
+        return RationalCharacter.constant(vars, 0)
     swi = frame_sum_inv(vars)
     sw = frame_sum(vars)
     up = geometric_sum(

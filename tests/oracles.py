@@ -19,6 +19,13 @@ equality of two weight sums by full expansion over the product of all
 denominators, and ``evaluate_fraction`` evaluates a weight function in
 ``Fraction`` arithmetic, factor by factor.
 
+The whole character road to a contribution is kept as well:
+``contribution_whole`` takes the Euler class of the negative of the
+total character of the fixed point at once, or, in paper mode, the
+printed factors of all summands in one list.  The package takes the
+product over the frame summands instead, building each summand's
+factors once per vertex series.
+
 The first canonicalizer of weight functions is kept too:
 ``weight_function_fraction`` builds the canonical form in ``Fraction``
 arithmetic, one form at a time, and ``form_text_fraction`` renders a form
@@ -48,10 +55,11 @@ from hftvertex.chars import (CharError, LaurentPoly, Monomial,
 from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
                                    hilbert_poly, poly_add)
 from hftvertex.localize import (DivisionByZero, WeightFunction, ZeroWeight,
-                                form_text, param_names, weight_function)
+                                _cross_shifts, euler_of_minus, form_text,
+                                param_names, weight_function, weights_of)
 from hftvertex.series import (BinomialIneligible, binomial_series,
                               eq_weight_sum, weight_sum, ws_unit)
-from hftvertex.vertexchar import frame_sum, frame_sum_inv
+from hftvertex.vertexchar import frame_sum, frame_sum_inv, total_character
 
 
 @dataclass(frozen=True)
@@ -373,6 +381,34 @@ def eq_weight_sum_expanded(rank: int, a, b) -> bool:
                 part = part * _form_poly(vars, f)
         total = total + part
     return total.is_zero()
+
+
+def contribution_whole(vars: VariableSet, box: BoxTuple, twist: int,
+                       mode: str = "character") -> WeightFunction:
+    """Contribution of one fixed point from its whole character: the
+    Euler class of the negative of ``total_character``, or in paper mode
+    the printed factors of every summand gathered into one list."""
+    context = "contribution of %r at twist %d" % (box, twist)
+    if mode == "character":
+        return euler_of_minus(
+            vars.rank, weights_of(total_character(vars, box, twist)),
+            context)
+    nums = []
+    dens = []
+    for j in range(vars.rank):
+        load = box.alpha[j] + box.beta[j]
+        cross_num, cross_den = _cross_shifts(vars.rank, j)
+        for i in range(load):
+            f = list(cross_num)
+            f[0] += i + twist
+            f[1] -= 1
+            f[2] -= 1
+            nums.append(f)
+        for i in range(1, load + 1):
+            f = list(cross_den)
+            f[0] -= i + twist
+            dens.append(f)
+    return weight_function(vars.rank, 1, nums, dens, context)
 
 
 def evaluate_fraction(wf, point) -> Fraction:

@@ -226,7 +226,9 @@ def test_exit_code_two_on_bad_files(tmp_path, capsys):
                    {"subobjects": [{**sub, "factors": "false"}]},
                    {"subobjects": [{**sub, "factors": 0}]},
                    {"subobjects": [{**sub, "p": ["1/0"]}]},
-                   {"subobjects": [{"p": ["1"]}]}):
+                   {"subobjects": [{"p": ["1"]}]},
+                   # well formed, but not a valid framed triple model
+                   {"rank": 0}, {"p_image": ["3", "1"]}):
         doc = {k: v for k, v in {**good_model, **change}.items()
                if v is not None}
         bad.write_text(json.dumps(doc))

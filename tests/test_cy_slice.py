@@ -1,0 +1,72 @@
+"""The three way table on the Calabi Yau slice s3 = -s1 - s2.
+
+``cy_slice_table.json`` holds, as exact ``ws_to_json`` data, the
+coefficients to order 4 of the character, paper and closed form vertex
+series specialized to the slice, at rank <= 3 and twist <= 2; it was
+recorded before contributions became products over frame summands.  Any
+change to a value in it is a change of result and fails here.
+
+The numeric rows also follow closed forms, checked independently of
+the data: the character series is (-1)^(r*k) C(k+r-1, r-1) at every
+twist, the closed form is (1+q)^(-(t+1)*r), paper mode equals the
+character series at rank one and is (1+q)^-2 at rank two, and at rank
+three paper mode does not reduce to numbers.
+"""
+
+import json
+from math import comb
+from pathlib import Path
+
+from hftvertex.localize import parse_specialization
+from hftvertex.series import assemble_vertex, closed_form_series, ws_to_json
+
+TABLE = json.loads(
+    (Path(__file__).parent / "cy_slice_table.json").read_text())
+ORDER = 4
+
+
+def _series(rank, twist, mode):
+    spec = parse_specialization(rank, "s3=-s1-s2")
+    if mode == "closed_form":
+        return closed_form_series(rank, twist, ORDER, spec)
+    return assemble_vertex(rank, twist, ORDER, mode, spec)
+
+
+def _scalars(row):
+    """The coefficients of a row as integers, or None where one keeps
+    factors."""
+    return [int(c["scalar"]) if isinstance(c, dict) and not c["num"]
+            and not c["den"] else None for c in row]
+
+
+def test_cy_slice_table_is_pinned():
+    got = {}
+    for rank in (1, 2, 3):
+        for twist in (0, 1, 2):
+            for mode in ("character", "paper", "closed_form"):
+                got["%d %d %s" % (rank, twist, mode)] = [
+                    ws_to_json(c)
+                    for c in _series(rank, twist, mode).coefficients]
+    assert got.keys() == TABLE.keys()
+    for key, row in TABLE.items():
+        assert got[key] == row, key
+
+
+def test_cy_slice_rows_follow_their_closed_forms():
+    for rank in (1, 2, 3):
+        for twist in (0, 1, 2):
+            row = {mode: _scalars(TABLE["%d %d %s" % (rank, twist, mode)])
+                   for mode in ("character", "paper", "closed_form")}
+            ks = range(ORDER + 1)
+            assert row["character"] == [
+                (-1) ** (rank * k) * comb(k + rank - 1, rank - 1) for k in ks]
+            exponent = (twist + 1) * rank
+            assert row["closed_form"] == [
+                (-1) ** k * comb(exponent + k - 1, k) for k in ks]
+            if rank == 1:
+                assert row["paper"] == row["character"]
+            elif rank == 2:
+                assert row["paper"] == [(-1) ** k * (k + 1) for k in ks]
+            else:
+                assert row["paper"][0] == 1
+                assert row["paper"][1:] == [None] * ORDER

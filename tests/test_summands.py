@@ -1,0 +1,134 @@
+"""Contributions as products over frame summands.
+
+``localize.contribution`` builds the factors of each frame summand that
+carries boxes from the fixed point that keeps only that summand's
+boxes, and ``series.assemble_vertex`` builds each summand once per
+call.  These tests check the split of the character it rests on, the
+zero blocks of empty summands, the reuse of summand factors, and the
+result against the whole character road of ``oracles``.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hftvertex.chars import (HftError, LaurentPoly, RationalCharacter,
+                             VariableSet)
+from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
+from hftvertex.localize import (contribution, parse_specialization,
+                                specialize)
+from hftvertex.series import assemble_vertex, leg_strata, weight_sum
+from hftvertex.vertexchar import alpha_block, beta_block, total_character
+from oracles import contribution_whole
+
+VARS = {rank: VariableSet(rank) for rank in (1, 2, 3, 4)}
+MODES = ("character", "paper")
+
+
+def _grid():
+    """The acceptance grid: rank <= 3, total <= 5, twist <= 3."""
+    for rank in (1, 2, 3):
+        for total in range(6):
+            for box in enumerate_fixed(rank, total):
+                for twist in range(4):
+                    yield VARS[rank], box, twist
+
+
+def _only(box, j):
+    """The fixed point that keeps only the boxes of summand j."""
+    zeros = [0] * box.rank
+    return BoxTuple(zeros[:j] + [box.alpha[j]] + zeros[j + 1:],
+                    zeros[:j] + [box.beta[j]] + zeros[j + 1:])
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except HftError as err:  # the error itself is the outcome compared
+        return type(err), str(err)
+
+
+def test_contribution_matches_whole_character_on_the_grid():
+    cells = 0
+    for vars, box, twist in _grid():
+        for mode in MODES:
+            assert (contribution(vars, box, twist, mode)
+                    == contribution_whole(vars, box, twist, mode))
+        cells += 1
+    assert cells == 2436
+
+
+def test_total_character_is_the_sum_of_its_summands_on_the_grid():
+    for vars, box, twist in _grid():
+        parts = LaurentPoly.zero(vars)
+        for j in range(box.rank):
+            parts = parts + total_character(vars, _only(box, j), twist)
+        assert total_character(vars, box, twist) == parts
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_contribution_matches_whole_character_on_random_boxes(data):
+    # negative twists reach the zero weights, so the errors and the
+    # fixed point they name are compared too
+    rank = data.draw(st.integers(1, 4))
+    counts = st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
+    box = BoxTuple(data.draw(counts), data.draw(counts))
+    twist = data.draw(st.integers(-3, 3))
+    mode = data.draw(st.sampled_from(MODES))
+    vars = VARS[rank]
+    assert (_outcome(contribution, vars, box, twist, mode)
+            == _outcome(contribution_whole, vars, box, twist, mode))
+
+
+def test_empty_blocks_are_zero():
+    for rank in (1, 2, 3):
+        vars = VARS[rank]
+        zero = RationalCharacter.constant(vars, 0)
+        for j in range(rank):
+            assert beta_block(vars, j, 0) == zero
+            for twist in range(4):
+                assert alpha_block(vars, j, 0, twist) == zero
+                assert alpha_block(vars, j, 1, twist) != zero
+            assert beta_block(vars, j, 1) != zero
+
+
+def test_shared_summands_never_return_stale_factors():
+    # one dict across twists, modes and fixed points that share summands
+    vars = VARS[3]
+    boxes = [BoxTuple((2, 0, 1), (0, 1, 0)), BoxTuple((2, 1, 0), (0, 0, 0)),
+             BoxTuple((0, 0, 1), (0, 1, 0)), BoxTuple((2, 0, 1), (1, 1, 0))]
+    summands = {}
+    for sweep in range(2):
+        for twist in (0, 1):
+            for mode in MODES:
+                for box in boxes:
+                    got = contribution(vars, box, twist, mode,
+                                       summands=summands)
+                    assert got == contribution_whole(vars, box, twist, mode)
+        if not sweep:
+            filled = dict(summands)
+    # the second sweep reused every summand factor and built none
+    assert summands == filled
+    assert all(len(key) == 5 for key in summands)
+    assert {key[3:] for key in summands} == {
+        (twist, mode) for twist in (0, 1) for mode in MODES}
+
+
+def test_assemble_vertex_sums_the_whole_character_contributions():
+    for rank in (1, 2, 3, 4):
+        vars = VARS[rank]
+        slice_spec = parse_specialization(rank, "s3=-s1-s2")
+        for twist in (0, 1, 2):
+            for mode in MODES:
+                whole = {box: contribution_whole(vars, box, twist, mode)
+                         for k in range(5) for box in leg_strata(rank, k)}
+                for spec in (None, slice_spec):
+                    want = [weight_sum(rank, [
+                        specialize(whole[box], spec,
+                                   "contribution of %r at twist %d"
+                                   % (box, twist))
+                        for box in leg_strata(rank, k)]) for k in range(5)]
+                    got = assemble_vertex(rank, twist, 4, mode, spec)
+                    assert list(got.coefficients) == want, (
+                        rank, twist, mode, spec)
+
