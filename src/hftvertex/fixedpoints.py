@@ -8,7 +8,11 @@ asymptotic comparisons of Hilbert polynomials.
 
 Hilbert polynomials are stored as tuples of Fractions, lowest degree
 first, with no trailing zeros.  The rank of a subobject is read off as
-its coefficient in the degree of the ambient polynomial.
+its coefficient in the degree of the ambient polynomial.  Every
+asymptotic comparison is one sign test: a combination ``sum c * p`` of
+Hilbert polynomials is positive, zero or negative at all large
+arguments according to the sign of its leading coefficient, which is
+read off without building the combination.
 """
 
 from __future__ import annotations
@@ -56,20 +60,6 @@ class BoxTuple:
     def total(self) -> int:
         return sum(self.alpha) + sum(self.beta)
 
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "alpha": list(self.alpha),
-                "beta": list(self.beta)}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> BoxTuple:
-        alpha = tuple(data["alpha"])
-        beta = tuple(data["beta"])
-        box = cls(alpha, beta)
-        if "rank" in data and int(data["rank"]) != box.rank:
-            raise InvalidModel("declared rank %r does not match vectors"
-                               % (data["rank"],))
-        return box
-
     def __repr__(self) -> str:
         return "BoxTuple(alpha=%r, beta=%r)" % (self.alpha, self.beta)
 
@@ -115,28 +105,22 @@ def hilbert_poly(coeffs: Iterable[Fraction | int | str]) -> HilbertPoly:
     return tuple(cs)
 
 
-def poly_add(a: HilbertPoly, b: HilbertPoly) -> HilbertPoly:
-    n = max(len(a), len(b))
-    return hilbert_poly(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n))
-
-
-def poly_sub(a: HilbertPoly, b: HilbertPoly) -> HilbertPoly:
-    return poly_add(a, poly_scale(b, -1))
-
-
-def poly_scale(a: HilbertPoly, c: Fraction | int) -> HilbertPoly:
-    return hilbert_poly(Fraction(c) * x for x in a)
+def _leading_sign(*terms: tuple[Fraction | int, HilbertPoly]) -> int:
+    """Sign of the leading coefficient of the sum of ``c * p`` over the
+    pairs ``(c, p)``: the sign the sum takes at every sufficiently large
+    argument, and 0 when the sum is the zero polynomial."""
+    for i in reversed(range(max(len(p) for _, p in terms))):
+        lead = sum(c * p[i] for c, p in terms if i < len(p))
+        if lead:
+            return 1 if lead > 0 else -1
+    return 0
 
 
 def poly_compare_asymptotic(a: Iterable, b: Iterable) -> str:
     """Compare two polynomials for all sufficiently large arguments:
     returns "less", "equal", or "greater"."""
-    d = poly_sub(hilbert_poly(a), hilbert_poly(b))
-    if not d:
-        return "equal"
-    return "greater" if d[-1] > 0 else "less"
+    sign = _leading_sign((1, hilbert_poly(a)), (-1, hilbert_poly(b)))
+    return ("less", "equal", "greater")[sign + 1]
 
 
 def rank_coefficient(p_sub: HilbertPoly, p_total: HilbertPoly) -> Fraction:
@@ -185,16 +169,6 @@ class FrozenTripleModel:
         object.__setattr__(self, "p_image", pim)
         object.__setattr__(self, "subobjects", subs)
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "p_total": [str(c) for c in self.p_total],
-            "p_image": [str(c) for c in self.p_image],
-            "subobjects": [
-                {"p": [str(c) for c in p], "factors": flag}
-                for p, flag in self.subobjects],
-        }
-
     @classmethod
     def from_json(cls, data: Mapping) -> FrozenTripleModel:
         """Read parsed JSON, refusing floats, booleans used as numbers
@@ -230,7 +204,8 @@ def tau_stability_check(model: FrozenTripleModel,
 
         rk_f*p_g - rk_g*(p_f + q) < 0
 
-    when it does not.  Subobjects equal to the whole sheaf or zero are
+    when it does not.  Each margin is decided by the sign of its leading
+    coefficient alone.  Subobjects equal to the whole sheaf or zero are
     skipped: the former is not proper, the latter cannot destabilize.
     """
     q = hilbert_poly(q_poly)
@@ -244,13 +219,10 @@ def tau_stability_check(model: FrozenTripleModel,
             continue
         rk_g = rank_coefficient(pg, pf)
         if factors:
-            margin = poly_add(poly_scale(q, rk_f - rk_g),
-                              poly_sub(poly_scale(pg, rk_f),
-                                       poly_scale(pf, rk_g)))
+            margin = (rk_f - rk_g, q), (rk_f, pg), (-rk_g, pf)
         else:
-            margin = poly_sub(poly_scale(pg, rk_f),
-                              poly_scale(poly_add(pf, q), rk_g))
-        if poly_compare_asymptotic(margin, ()) != "less":
+            margin = (rk_f, pg), (-rk_g, pf), (-rk_g, q)
+        if _leading_sign(*margin) >= 0:
             return False
     return True
 

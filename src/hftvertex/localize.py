@@ -122,15 +122,6 @@ class WeightFunction:
         return weight_function(self.rank, self.scalar * other.scalar,
                                self.num + other.num, self.den + other.den)
 
-    def __truediv__(self, other: WeightFunction) -> WeightFunction:
-        if not isinstance(other, WeightFunction):
-            return NotImplemented
-        self._check(other)
-        if other.is_zero():
-            raise DivisionByZero("division by the zero weight function")
-        return weight_function(self.rank, self.scalar / other.scalar,
-                               self.num + other.den, self.den + other.num)
-
     def scaled(self, value: Fraction | int) -> WeightFunction:
         return weight_function(self.rank, self.scalar * Fraction(value),
                                self.num, self.den)
@@ -164,13 +155,6 @@ class WeightFunction:
         return {"scalar": str(self.scalar),
                 "num": [list(f) for f in self.num],
                 "den": [list(f) for f in self.den]}
-
-    @classmethod
-    def from_json(cls, rank: int, data) -> WeightFunction:
-        return weight_function(
-            rank, Fraction(data["scalar"]),
-            [tuple(f) for f in data["num"]],
-            [tuple(f) for f in data["den"]])
 
     def text(self) -> str:
         if not self.num and not self.den:
@@ -304,21 +288,6 @@ def weights_of(poly: LaurentPoly) -> list[tuple[int, WeightForm]]:
     return out
 
 
-def _minus_factors(weights: Sequence[tuple[int, WeightForm]]
-                   ) -> tuple[list[WeightForm], list[WeightForm]]:
-    """Numerator and denominator factors of the Euler class of the
-    negative of a signed weight multiset."""
-    return ([f for sign, f in weights if sign < 0],
-            [f for sign, f in weights if sign > 0])
-
-
-def euler_of_minus(rank: int, weights: Sequence[tuple[int, WeightForm]],
-                   context: str | None = None) -> WeightFunction:
-    """Equivariant Euler class of the negative of a signed weight
-    multiset: positive weights divide, negative weights multiply."""
-    return weight_function(rank, 1, *_minus_factors(weights), context)
-
-
 def _cross_shifts(rank: int, j: int) -> tuple[list[int], list[int]]:
     """Frame parts of the printed factor formulas, as coefficient
     vectors over (s1, s2, s3, v1, ..., vr).
@@ -379,7 +348,11 @@ def _summand_factors(vars: VariableSet, j: int, alpha: int, beta: int,
     zeros = [0] * vars.rank
     part = BoxTuple(zeros[:j] + [alpha] + zeros[j + 1:],
                     zeros[:j] + [beta] + zeros[j + 1:])
-    return _minus_factors(weights_of(total_character(vars, part, twist)))
+    weights = weights_of(total_character(vars, part, twist))
+    # the Euler class of the negative: negative weights multiply,
+    # positive weights divide
+    return ([f for sign, f in weights if sign < 0],
+            [f for sign, f in weights if sign > 0])
 
 
 def contribution(vars: VariableSet, box: BoxTuple, twist: int,
@@ -453,8 +426,10 @@ class Specialization:
         return not self.steps
 
 
-_CONST_RE = re.compile(r"\d+(?:/\d+)?$")
-_TERM_RE = re.compile(r"(?:(\d+(?:/\d+)?)\*)?([sv]\d+)$")
+# a rational constant: an integer, or one over a nonzero denominator
+_RATIONAL = r"\d+(?:/0*[1-9]\d*)?"
+_CONST_RE = re.compile(_RATIONAL + "$")
+_TERM_RE = re.compile(r"(?:(%s)\*)?([sv]\d+)$" % _RATIONAL)
 
 
 def _var_index(rank: int, name: str) -> int:
@@ -500,9 +475,9 @@ def parse_specialization(rank: int, text: str | None) -> Specialization:
 
     Each right hand side is an affine rational combination of the
     parameters: signed terms that are rational constants or rational
-    multiples of a parameter written like ``2*s1`` or ``1/2*v1``.  An
-    assignment may not mention its own left hand side.  Assignments
-    apply in the order given.
+    multiples of a parameter written like ``2*s1`` or ``1/2*v1``, every
+    denominator nonzero.  An assignment may not mention its own left
+    hand side.  Assignments apply in the order given.
     """
     src = (text or "").strip()
     if not src:

@@ -52,10 +52,9 @@ from hftvertex.chars import (CharError, LaurentPoly, Monomial,
                              RationalCharacter, VariableSet,
                              VariableSetMismatch, ZeroDenominator,
                              one_minus)
-from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
-                                   hilbert_poly, poly_add)
-from hftvertex.localize import (DivisionByZero, WeightFunction, ZeroWeight,
-                                _cross_shifts, euler_of_minus, form_text,
+from hftvertex.fixedpoints import BoxTuple, FrozenTripleModel, hilbert_poly
+from hftvertex.localize import (DivisionByZero, WeightForm, WeightFunction,
+                                ZeroWeight, _cross_shifts, form_text,
                                 param_names, weight_function, weights_of)
 from hftvertex.series import (BinomialIneligible, binomial_series,
                               eq_weight_sum, weight_sum, ws_unit)
@@ -383,6 +382,15 @@ def eq_weight_sum_expanded(rank: int, a, b) -> bool:
     return total.is_zero()
 
 
+def euler_of_minus(rank: int, weights: list[tuple[int, WeightForm]],
+                   context: str | None = None) -> WeightFunction:
+    """Equivariant Euler class of the negative of a signed weight
+    multiset: positive weights divide, negative weights multiply."""
+    return weight_function(rank, 1,
+                           [f for sign, f in weights if sign < 0],
+                           [f for sign, f in weights if sign > 0], context)
+
+
 def contribution_whole(vars: VariableSet, box: BoxTuple, twist: int,
                        mode: str = "character") -> WeightFunction:
     """Contribution of one fixed point from its whole character: the
@@ -655,5 +663,5 @@ def box_model(box: BoxTuple) -> FrozenTripleModel:
     framing image being the line part."""
     r, k = box.rank, box.total
     line = hilbert_poly((r, r))
-    return FrozenTripleModel(r, poly_add(line, hilbert_poly((k,))), line,
+    return FrozenTripleModel(r, hilbert_poly((r + k, r)), line,
                              ((line, True),))

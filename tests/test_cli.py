@@ -170,6 +170,12 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         ["vertex", "--specialize", "s1=s1"],
         ["vertex", "--specialize", "v2=1"],
         ["vertex", "--specialize", "s1=?"],
+        ["vertex", "--specialize", "s1=1/0"],
+        ["vertex", "--specialize", "s1=1/0*s2"],
+        ["vertex", "--specialize", "s1=0/0"],
+        ["compare", "--specialize", "s1=1/0"],
+        ["compare", "--specialize", "s1=1/0*s2"],
+        ["compare", "--specialize", "s1=0/0"],
         ["partition", "--p-file", str(tmp_path / "missing.json")],
     ]
     for argv in cases:

@@ -11,6 +11,12 @@ the data: the character series is (-1)^(r*k) C(k+r-1, r-1) at every
 twist, the closed form is (1+q)^(-(t+1)*r), paper mode equals the
 character series at rank one and is (1+q)^-2 at rank two, and at rank
 three paper mode does not reduce to numbers.
+
+The table also holds the rows of ``compare --rank 2 --order 3`` and
+``compare --rank 3 --order 2`` on the slice, at twist 0, under the keys
+``compare rank R order N``: each row's ``ws_to_json`` columns and both
+equality flags, as the JSON output of ``compare`` prints them, recorded
+before the unused package code was deleted.
 """
 
 import json
@@ -18,11 +24,15 @@ from math import comb
 from pathlib import Path
 
 from hftvertex.localize import parse_specialization
-from hftvertex.series import assemble_vertex, closed_form_series, ws_to_json
+from hftvertex.series import (assemble_vertex, closed_form_series,
+                              compare_rows, ws_to_json)
 
 TABLE = json.loads(
     (Path(__file__).parent / "cy_slice_table.json").read_text())
+VERTEX = {key: row for key, row in TABLE.items()
+          if not key.startswith("compare")}
 ORDER = 4
+COLUMNS = ("character", "paper", "closed_form", "difference_from_reference")
 
 
 def _series(rank, twist, mode):
@@ -47,15 +57,23 @@ def test_cy_slice_table_is_pinned():
                 got["%d %d %s" % (rank, twist, mode)] = [
                     ws_to_json(c)
                     for c in _series(rank, twist, mode).coefficients]
-    assert got.keys() == TABLE.keys()
-    for key, row in TABLE.items():
+    assert got.keys() == VERTEX.keys()
+    for key, row in VERTEX.items():
         assert got[key] == row, key
+
+
+def test_cy_slice_compare_rows_are_pinned():
+    for rank, order in ((2, 3), (3, 2)):
+        spec = parse_specialization(rank, "s3=-s1-s2")
+        got = [{**row, **{c: ws_to_json(row[c]) for c in COLUMNS}}
+               for row in compare_rows(rank, 0, order, spec)]
+        assert got == TABLE["compare rank %d order %d" % (rank, order)]
 
 
 def test_cy_slice_rows_follow_their_closed_forms():
     for rank in (1, 2, 3):
         for twist in (0, 1, 2):
-            row = {mode: _scalars(TABLE["%d %d %s" % (rank, twist, mode)])
+            row = {mode: _scalars(VERTEX["%d %d %s" % (rank, twist, mode)])
                    for mode in ("character", "paper", "closed_form")}
             ks = range(ORDER + 1)
             assert row["character"] == [

@@ -27,16 +27,15 @@ PUBLIC = {
     "hftvertex.fixedpoints": {
         "BoxTuple", "FrozenTripleModel", "HilbertPoly", "InvalidModel",
         "InvalidStabilityParameter", "compositions", "enumerate_fixed",
-        "hilbert_poly", "limit_stable_equiv", "poly_add",
-        "poly_compare_asymptotic", "poly_scale", "poly_sub",
+        "hilbert_poly", "limit_stable_equiv", "poly_compare_asymptotic",
         "rank_coefficient", "tau_stability_check"},
     "hftvertex.localize": {
         "AffineWeight", "DivisionByZero", "ModeUnavailable",
         "NonIntegerMultiplicity", "SpecStep", "Specialization",
         "SpecializationSyntax", "WeightForm", "WeightFunction", "ZeroWeight",
-        "contribution", "euler_of_minus", "form_text", "param_names",
-        "parse_specialization", "specialize", "specialize_form",
-        "value_parts", "weight_function", "weights_of"},
+        "contribution", "form_text", "param_names", "parse_specialization",
+        "specialize", "specialize_form", "value_parts", "weight_function",
+        "weights_of"},
     "hftvertex.series": {
         "BinomialIneligible", "CountSeries", "InvalidCounts", "VertexSeries",
         "WeightSum", "assemble_vertex", "binomial_series",
