@@ -7,19 +7,25 @@ forms divided by another such product, stored exactly as a
 ``WeightFunction``: a rational scalar together with two sorted multisets
 of primitive integer forms, built in integer arithmetic.  Two
 contributions are equal exactly when their canonical forms coincide.
+Canonical forms compose without being canonicalized again: a product
+multiplies the scalars, merges the sorted factor tuples and cancels the
+factors now shared by numerator and denominator, and a rescaling
+changes the scalar only.
 
 At a fixed point the frame splits into r summands and the character
 into their shares, so the Euler class of its negative is the product
-of the summands' Euler classes.  A contribution gathers the factors of
-each summand that carries boxes and canonicalizes them once; since the
-canonical form is unique, that product is the very weight function the
-whole character gives.
+of the summands' Euler classes.  Each share of a summand that carries
+boxes is canonicalized once, and the contribution is the product of
+the shares; since the canonical form is unique, that product is the
+very weight function the whole character gives.
 
 Specializations substitute affine rational expressions for parameters,
-for example the Calabi Yau slice s3 = -s1 - s2.  A specialized factor
-either stays a genuine linear form, collapses to a nonzero constant that
-folds into the scalar, or collapses to zero, which is an error that
-names the offending configuration.
+for example the Calabi Yau slice s3 = -s1 - s2.  Parsing compiles the
+ordered assignments once into integer images of the unit forms over a
+common denominator, so each factor specializes by integer dot products.
+A specialized factor either stays a genuine linear form, collapses to a
+nonzero constant that folds into the scalar, or collapses to zero,
+which is an error that names the offending configuration.
 """
 
 from __future__ import annotations
@@ -75,6 +81,10 @@ def form_text(rank: int, form: Sequence) -> str:
     if len(form) != len(names):
         raise VariableSetMismatch(
             "form of length %d for rank %d" % (len(form), rank))
+    return _form_text(names, form)
+
+
+def _form_text(names: Sequence[str], form: Sequence) -> str:
     parts: list[str] = []
     for name, c in zip(names, form):
         if not c:
@@ -116,15 +126,21 @@ class WeightFunction:
                                                          other.rank))
 
     def __mul__(self, other: WeightFunction) -> WeightFunction:
+        """The product, composed from the two canonical forms: the
+        scalars multiply and the sorted factors merge, with no form
+        rescaled (see ``_product``)."""
         if not isinstance(other, WeightFunction):
             return NotImplemented
         self._check(other)
-        return weight_function(self.rank, self.scalar * other.scalar,
-                               self.num + other.num, self.den + other.den)
+        return _product(self.rank, (self, other))
 
     def scaled(self, value: Fraction | int) -> WeightFunction:
-        return weight_function(self.rank, self.scalar * Fraction(value),
-                               self.num, self.den)
+        """This function times a rational number: only the scalar
+        changes, and a zero value gives the zero function."""
+        scalar = self.scalar * Fraction(value)
+        if not scalar:
+            return WeightFunction(self.rank, scalar, (), ())
+        return WeightFunction(self.rank, scalar, self.num, self.den)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a rational parameter point.
@@ -156,17 +172,21 @@ class WeightFunction:
                 "num": [list(f) for f in self.num],
                 "den": [list(f) for f in self.den]}
 
-    def text(self) -> str:
+    def text(self, names: Sequence[str] | None = None) -> str:
+        """Render the function.  ``names``, when given, are the
+        ``param_names`` of its rank, so a caller that renders many
+        functions of one rank builds them once."""
         if not self.num and not self.den:
             return str(self.scalar)
-        num_txt = "*".join("(%s)" % form_text(self.rank, f)
-                           for f in self.num)
+        if names is None:
+            names = param_names(self.rank)
+        num_txt = "*".join("(%s)" % _form_text(names, f) for f in self.num)
         out = num_txt if num_txt else "1"
         if self.scalar != 1 or not num_txt:
             out = "%s * %s" % (self.scalar, out) if num_txt else str(
                 self.scalar)
         if self.den:
-            out += "/" + "*".join("(%s)" % form_text(self.rank, f)
+            out += "/" + "*".join("(%s)" % _form_text(names, f)
                                   for f in self.den)
         return out
 
@@ -246,6 +266,30 @@ def weight_function(rank: int, scalar: Fraction | int,
     d_top, d_bottom, dd = _primitive_forms(rank, den, True, where)
     s = Fraction(scalar.numerator * n_top * d_top,
                  scalar.denominator * n_bottom * d_bottom)
+    return _cancelled(rank, s, nn, dd)
+
+
+def _product(rank: int, factors: Sequence[WeightFunction]) -> WeightFunction:
+    """Product of canonical weight functions of one rank.  Their forms
+    are primitive already, so the scalars multiply, the sorted ``num``
+    and ``den`` tuples merge, and only the forms now shared by the two
+    sides cancel."""
+    top = bottom = 1
+    for wf in factors:
+        top *= wf.scalar.numerator
+        bottom *= wf.scalar.denominator
+    if not top:
+        return WeightFunction(rank, Fraction(0), (), ())
+    return _cancelled(rank, Fraction(top, bottom),
+                      sorted([f for wf in factors for f in wf.num]),
+                      sorted([f for wf in factors for f in wf.den]))
+
+
+def _cancelled(rank: int, scalar: Fraction, nn: list[WeightForm],
+               dd: list[WeightForm]) -> WeightFunction:
+    """The weight function scalar * nn/dd for sorted lists of primitive
+    forms, with the forms shared by nn and dd cancelled as multisets in
+    one pass."""
     i = j = 0
     keep_n: list[WeightForm] = []
     keep_d: list[WeightForm] = []
@@ -261,7 +305,7 @@ def weight_function(rank: int, scalar: Fraction | int,
             j += 1
     keep_n.extend(nn[i:])
     keep_d.extend(dd[j:])
-    return WeightFunction(rank, s, tuple(keep_n), tuple(keep_d))
+    return WeightFunction(rank, scalar, tuple(keep_n), tuple(keep_d))
 
 
 def weights_of(poly: LaurentPoly) -> list[tuple[int, WeightForm]]:
@@ -370,16 +414,19 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
     character of a fixed point is the sum of its summands' shares, each
     the character of the fixed point that keeps only that summand's
     boxes, since the blocks of an empty summand are zero.  The Euler
-    class of a negative sum is the product of the Euler classes, so the
-    factors of the shares are concatenated and canonicalized in one
-    ``weight_function`` call; a weight that one share adds and another
-    takes away cancels there as a shared factor.  The canonical form is
-    unique, so the result is the one the whole character gives.
+    class of a negative sum is the product of the Euler classes, so
+    each share is canonicalized once, by one ``weight_function`` call
+    whose errors name the fixed point at hand, and the contribution is
+    the product of the shares: their scalars multiply, their sorted
+    factors merge, and a weight that one share adds and another takes
+    away cancels as a shared factor.  The canonical form is unique, so
+    the result is the one the whole character gives.
 
     ``summands``, when given, maps ``(j, alpha_j, beta_j, twist, mode)``
-    to the factors of that share, and is filled as shares are built, so
-    a caller that sums many fixed points of one rank builds each share
-    once.  One dict serves one variable set.
+    to the canonical ``WeightFunction`` of that share, and is filled as
+    shares are built, so a caller that sums many fixed points of one
+    rank canonicalizes each share once.  One dict serves one variable
+    set.
     """
     if box.rank != vars.rank:
         raise VariableSetMismatch(
@@ -389,20 +436,19 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
         raise ModeUnavailable("unknown contribution mode %r" % (mode,))
     if summands is None:
         summands = {}
-    nums: list = []
-    dens: list = []
+    shares: list[WeightFunction] = []
     for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta)):
         if not alpha and not beta:
             continue
         key = (j, alpha, beta, twist, mode)
-        factors = summands.get(key)
-        if factors is None:
-            factors = summands[key] = _summand_factors(
-                vars, j, alpha, beta, twist, mode)
-        nums.extend(factors[0])
-        dens.extend(factors[1])
-    return weight_function(vars.rank, 1, nums, dens,
-                           "contribution of %r at twist %d" % (box, twist))
+        share = summands.get(key)
+        if share is None:
+            nums, dens = _summand_factors(vars, j, alpha, beta, twist, mode)
+            share = summands[key] = weight_function(
+                vars.rank, 1, nums, dens,
+                "contribution of %r at twist %d" % (box, twist))
+        shares.append(share)
+    return _product(vars.rank, shares)
 
 
 @dataclass(frozen=True)
@@ -416,11 +462,23 @@ class SpecStep:
 
 @dataclass(frozen=True)
 class Specialization:
-    """Ordered parameter assignments, applied left to right."""
+    """Ordered parameter assignments, applied left to right, and their
+    composite compiled into integers.
+
+    Each assignment is linear in the form it acts on, so the ordered
+    list sends a form f to the constant sum_i f_i K_i and the linear
+    part sum_i f_i V_i, where (K_i, V_i) is the image of the i-th unit
+    form.  ``denominator`` is the least common denominator D of all the
+    images.  ``columns`` holds, first for the constant and then for each
+    parameter, the integers D*K_i (or the entries of D*V_i) over i, so
+    one integer dot product with f per column gives D times the image
+    of f."""
 
     rank: int
     steps: tuple[SpecStep, ...]
     source: str
+    columns: tuple[tuple[int, ...], ...]
+    denominator: int
 
     def is_trivial(self) -> bool:
         return not self.steps
@@ -481,7 +539,7 @@ def parse_specialization(rank: int, text: str | None) -> Specialization:
     """
     src = (text or "").strip()
     if not src:
-        return Specialization(rank, (), "")
+        return _compiled(rank, (), "")
     steps: list[SpecStep] = []
     for piece in src.split(","):
         if "=" not in piece:
@@ -494,28 +552,52 @@ def parse_specialization(rank: int, text: str | None) -> Specialization:
             raise SpecializationSyntax(
                 "assignment for %s mentions itself" % name.strip())
         steps.append(SpecStep(target, const, tuple(coeffs)))
-    return Specialization(rank, tuple(steps), src)
+    return _compiled(rank, tuple(steps), src)
+
+
+def _compiled(rank: int, steps: tuple[SpecStep, ...],
+              source: str) -> Specialization:
+    """The specialization with its steps applied, in order and in
+    ``Fraction`` arithmetic, to each unit form once, and the images
+    cleared to integers over their common denominator."""
+    images = []
+    for i in range(3 + rank):
+        vec = [Fraction(0)] * (3 + rank)
+        vec[i] = Fraction(1)
+        const = Fraction(0)
+        for step in steps:
+            c = vec[step.target]
+            if not c:
+                continue
+            vec[step.target] = Fraction(0)
+            const += c * step.const
+            for p, b in enumerate(step.coeffs):
+                if b:
+                    vec[p] += c * b
+        images.append([const] + vec)
+    d = lcm(*(x.denominator for image in images for x in image))
+    columns = zip(*[[x.numerator * (d // x.denominator) for x in image]
+                    for image in images])
+    return Specialization(rank, steps, source, tuple(columns), d)
+
+
+def _image(spec: Specialization, form: Sequence[int]) -> list[int]:
+    """D times the specialized integer form: its constant part, then its
+    linear part."""
+    return [sum(map(mul, form, col)) for col in spec.columns]
 
 
 def specialize_form(spec: Specialization,
                     form: Sequence) -> tuple[Fraction, list[Fraction]]:
     """Apply the assignments to a linear form, returning the constant
     part and the remaining linear part."""
-    vec = [Fraction(x) for x in form]
-    if len(vec) != 3 + spec.rank:
+    if len(form) != 3 + spec.rank:
         raise VariableSetMismatch(
-            "form of length %d for rank %d" % (len(vec), spec.rank))
-    const = Fraction(0)
-    for step in spec.steps:
-        c = vec[step.target]
-        if not c:
-            continue
-        vec[step.target] = Fraction(0)
-        const += c * step.const
-        for i, b in enumerate(step.coeffs):
-            if b:
-                vec[i] += c * b
-    return const, vec
+            "form of length %d for rank %d" % (len(form), spec.rank))
+    ints, m = _cleared(form)
+    const, *vec = _image(spec, ints)
+    d = m * spec.denominator
+    return Fraction(const, d), [Fraction(x, d) for x in vec]
 
 
 def specialize(wf: WeightFunction, spec: Specialization | None,
@@ -526,8 +608,14 @@ def specialize(wf: WeightFunction, spec: Specialization | None,
     nonzero constant fold into the scalar; a factor collapsing to zero
     raises ``ZeroWeight`` from a numerator and ``DivisionByZero`` from a
     denominator, and a factor left with both a constant and a linear
-    part raises ``AffineWeight``.  Error messages carry the context and
-    the offending factor.
+    part raises ``AffineWeight``.  Numerator factors are checked first.
+    Error messages carry the context and the offending factor.
+
+    Each factor goes through the compiled map of ``spec`` by integer dot
+    products, which give D times its image for the common denominator
+    D.  Every factor is linear, so D cancels except for its power
+    ``len(den) - len(num)``, folded into the scalar once, and the kept
+    integer forms are canonicalized by one ``weight_function`` call.
     """
     if spec is None or spec.is_trivial() or wf.is_zero():
         return wf
@@ -536,19 +624,27 @@ def specialize(wf: WeightFunction, spec: Specialization | None,
             "specialization of rank %d on a weight function of rank %d"
             % (spec.rank, wf.rank))
     where = " in %s" % context if context else ""
-    scalar, nums = _specialize_forms(spec, wf.num, wf.scalar, False, where)
-    scalar, dens = _specialize_forms(spec, wf.den, scalar, True, where)
+    top, nums = _specialize_forms(spec, wf.num, False, where)
+    bottom, dens = _specialize_forms(spec, wf.den, True, where)
+    shift = len(wf.den) - len(wf.num)
+    if shift > 0:
+        top *= spec.denominator ** shift
+    elif shift < 0:
+        bottom *= spec.denominator ** -shift
+    scalar = Fraction(wf.scalar.numerator * top,
+                      wf.scalar.denominator * bottom)
     return weight_function(wf.rank, scalar, nums, dens, context)
 
 
 def _specialize_forms(spec: Specialization, forms: Sequence[WeightForm],
-                      scalar: Fraction, den: bool, where: str
-                      ) -> tuple[Fraction, list[list[Fraction]]]:
+                      den: bool, where: str) -> tuple[int, list[list[int]]]:
     """Specialize the numerator (or, with ``den``, the denominator)
-    factors: linear ones are kept, constant ones fold into ``scalar``."""
-    kept: list[list[Fraction]] = []
+    factors, each scaled by D: the linear ones are kept, and the
+    product of the constant ones is returned."""
+    product = 1
+    kept: list[list[int]] = []
     for f in forms:
-        const, vec = specialize_form(spec, f)
+        const, *vec = _image(spec, f)
         if any(vec):
             if const:
                 raise AffineWeight(
@@ -556,7 +652,7 @@ def _specialize_forms(spec: Specialization, forms: Sequence[WeightForm],
                     % (form_text(spec.rank, f), where))
             kept.append(vec)
         elif const:
-            scalar = scalar / const if den else scalar * const
+            product *= const
         elif den:
             raise DivisionByZero(
                 "denominator factor %s specializes to zero%s"
@@ -565,4 +661,4 @@ def _specialize_forms(spec: Specialization, forms: Sequence[WeightForm],
             raise ZeroWeight(
                 "numerator factor %s specializes to zero%s"
                 % (form_text(spec.rank, f), where))
-    return scalar, kept
+    return product, kept

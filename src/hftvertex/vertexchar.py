@@ -3,10 +3,11 @@
 The character of a fixed point is written per frame summand as finite
 geometric blocks on the two chart legs, and their sum reduces by exact
 division to an honest Laurent polynomial.  The blocks of a summand
-without boxes are zero, so the character of a fixed point is the sum of
-the characters of the fixed points that keep one summand's boxes each.  That is the only road the
-package takes; the raw road through the two chart traces and the edge
-terms lives in the tests as an independent oracle.
+without boxes are zero and are not added, so the character of a fixed
+point is the sum of the characters of the fixed points that keep one
+summand's boxes each.  That is the only road the package takes; the
+raw road through the two chart traces and the edge terms lives in the
+tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -89,13 +90,17 @@ def total_character(vars: VariableSet, box: BoxTuple,
                     twist: int) -> LaurentPoly:
     """Closed form character of the fixed point: the sum over frame
     summands of the two chart blocks, reduced to an honest Laurent
-    polynomial by exact division."""
+    polynomial by exact division.  The blocks of a summand without
+    boxes are zero and add nothing, so only summands with boxes are
+    built."""
     if box.rank != vars.rank:
         raise VariableSetMismatch(
             "box tuple of rank %d over variables of rank %d"
             % (box.rank, vars.rank))
     acc = RationalCharacter.constant(vars, 0)
     for j in range(box.rank):
+        if not box.alpha[j] and not box.beta[j]:
+            continue
         acc = acc + alpha_block(vars, j, box.alpha[j], twist)
         acc = acc + beta_block(vars, j, box.beta[j])
     return acc.reduced()

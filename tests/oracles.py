@@ -30,7 +30,10 @@ The first canonicalizer of weight functions is kept too:
 ``weight_function_fraction`` builds the canonical form in ``Fraction``
 arithmetic, one form at a time, and ``form_text_fraction`` renders a form
 through ``Fraction`` coefficients.  The package builds the form in
-integers and prints the coefficients it is given.
+integers and prints the coefficients it is given.  So is the first
+specialization: ``specialize_stepwise`` applies the assignments to each
+factor one ``Fraction`` step at a time, where the package compiles them
+once into integer images of the unit forms.
 
 Finally it holds the tools only the tests need: ``eq_rational``, equality
 of values of rational characters; ``poly_substituted`` and
@@ -53,9 +56,10 @@ from hftvertex.chars import (CharError, LaurentPoly, Monomial,
                              VariableSetMismatch, ZeroDenominator,
                              one_minus)
 from hftvertex.fixedpoints import BoxTuple, FrozenTripleModel, hilbert_poly
-from hftvertex.localize import (DivisionByZero, WeightForm, WeightFunction,
-                                ZeroWeight, _cross_shifts, form_text,
-                                param_names, weight_function, weights_of)
+from hftvertex.localize import (AffineWeight, DivisionByZero, WeightForm,
+                                WeightFunction, ZeroWeight, _cross_shifts,
+                                form_text, param_names, weight_function,
+                                weights_of)
 from hftvertex.series import (BinomialIneligible, binomial_series,
                               eq_weight_sum, weight_sum, ws_unit)
 from hftvertex.vertexchar import frame_sum, frame_sum_inv, total_character
@@ -509,6 +513,56 @@ def form_text_fraction(rank: int, form) -> str:
         else:
             parts.append((" + " if c > 0 else " - ") + body)
     return "".join(parts) if parts else "0"
+
+
+def _specialize_form_stepwise(spec, form) -> tuple[Fraction, list[Fraction]]:
+    """Apply the steps of a specialization to a linear form one at a
+    time: the constant part and the remaining linear part."""
+    vec = [Fraction(x) for x in form]
+    const = Fraction(0)
+    for step in spec.steps:
+        c = vec[step.target]
+        if not c:
+            continue
+        vec[step.target] = Fraction(0)
+        const += c * step.const
+        for i, b in enumerate(step.coeffs):
+            if b:
+                vec[i] += c * b
+    return const, vec
+
+
+def specialize_stepwise(wf: WeightFunction, spec,
+                        context: str | None = None) -> WeightFunction:
+    """Specialized weight function, one ``Fraction`` step per factor and
+    assignment: kept linear factors go to ``weight_function``, constant
+    ones fold into the scalar one division at a time, and the errors of
+    ``localize.specialize`` are raised in its order, numerators first."""
+    if spec is None or spec.is_trivial() or wf.is_zero():
+        return wf
+    where = " in %s" % context if context else ""
+    scalar = wf.scalar
+    kept: dict[bool, list] = {False: [], True: []}
+    for den, forms in ((False, wf.num), (True, wf.den)):
+        for f in forms:
+            const, vec = _specialize_form_stepwise(spec, f)
+            if any(vec):
+                if const:
+                    raise AffineWeight(
+                        "factor %s specializes to an affine expression%s"
+                        % (form_text(spec.rank, f), where))
+                kept[den].append(vec)
+            elif const:
+                scalar = scalar / const if den else scalar * const
+            elif den:
+                raise DivisionByZero(
+                    "denominator factor %s specializes to zero%s"
+                    % (form_text(spec.rank, f), where))
+            else:
+                raise ZeroWeight(
+                    "numerator factor %s specializes to zero%s"
+                    % (form_text(spec.rank, f), where))
+    return weight_function(wf.rank, scalar, kept[False], kept[True], context)
 
 
 def eq_rational(a: RationalCharacter, b: RationalCharacter) -> bool:

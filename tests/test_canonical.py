@@ -5,9 +5,10 @@
 integers and folds the scales into the scalar in one exact division;
 ``weight_function_fraction`` does it one ``Fraction`` at a time.  They
 must build the same instance, raise the same errors, and the instance
-must not depend on how each input form is scaled.  ``form_text`` prints
-the coefficients it is given and must read like the ``Fraction``
-rendering.
+must not depend on how each input form is scaled.  Products and
+rescalings of canonical instances skip the canonicalization and must
+give what it gives.  ``form_text`` prints the coefficients it is given
+and must read like the ``Fraction`` rendering.
 """
 
 from fractions import Fraction
@@ -114,6 +115,30 @@ def test_rescaled_forms_give_the_identical_instance(data):
     new_den = data.draw(st.permutations(new_den))
     assert (weight_function(rank, new_scalar, new_num, new_den)
             == weight_function(rank, scalar, num, den))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_products_and_rescalings_match_the_canonicalization(data):
+    # a * b and a.scaled(c) compose the canonical forms without
+    # rescaling them; they must equal the canonical form of the
+    # concatenated factors, shared factors and zero scalars included
+    rank = data.draw(st.integers(1, 3))
+    scalar_a, num_a, den_a = data.draw(_inputs(rank))
+    scalar_b, num_b, den_b = data.draw(_inputs(rank))
+    a = weight_function(rank, scalar_a, num_a, den_a)
+    b = weight_function(rank, scalar_b, num_b, den_b)
+    assert a * b == weight_function(rank, Fraction(scalar_a) * scalar_b,
+                                    num_a + num_b, den_a + den_b)
+    # factors of one side that cancel against the other side
+    swapped = weight_function(rank, scalar_b, den_a + num_b, num_a + den_b)
+    assert a * swapped == weight_function(
+        rank, Fraction(scalar_a) * scalar_b, num_a + den_a + num_b,
+        den_a + num_a + den_b)
+    c = data.draw(SCALARS)
+    assert a.scaled(c) == weight_function(rank, Fraction(scalar_a) * c,
+                                          num_a, den_a)
+    assert type((a * b).scalar) is type(a.scaled(c).scalar) is Fraction
 
 
 def test_contributions_match_fraction_oracle():

@@ -16,7 +16,7 @@ from hftvertex.localize import (AffineWeight, DivisionByZero,
                                 ZeroWeight, contribution, form_text,
                                 param_names, parse_specialization, specialize,
                                 specialize_form, weight_function, weights_of)
-from oracles import euler_of_minus
+from oracles import euler_of_minus, specialize_stepwise
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)
@@ -345,6 +345,84 @@ def test_specializations_compose(data):
     if not (isinstance(stepwise, WeightFunction)
             and isinstance(joined, type)):
         assert stepwise == joined
+
+
+_RATIONALS = ("1", "2", "1/2", "1/3", "2/3", "3/2")
+
+
+@st.composite
+def _affine_assignments(draw, rank):
+    """An assignment list with signed rational coefficients and
+    constants, such as ``s1=1/2*s2-1/3*v1,v1=2/3``."""
+    names = param_names(rank)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(names))
+        used = draw(st.lists(st.sampled_from(
+            [n for n in names if n != target]), max_size=3, unique=True))
+        terms = ["%s*%s" % (draw(st.sampled_from(_RATIONALS)), name)
+                 for name in used]
+        if not terms or not draw(st.integers(0, 3)):
+            terms.append(draw(st.sampled_from(_RATIONALS + ("0",))))
+        rhs = "".join(draw(st.sampled_from("+-")) + t for t in terms)
+        pieces.append("%s=%s" % (target, rhs))
+    return ",".join(pieces)
+
+
+def _value_or_error(run):
+    try:
+        return run()
+    except HftError as err:  # the error itself is the outcome compared
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_specialize_matches_stepwise_oracle(data):
+    """The compiled integer map gives the value, or the error class and
+    message, of the assignments applied one ``Fraction`` step at a
+    time."""
+    rank = data.draw(st.integers(1, 3))
+    entries = st.integers(-2, 2)
+    forms = st.tuples(*[entries] * (3 + rank)).filter(any)
+    wf = weight_function(rank, data.draw(st.builds(
+        Fraction, st.integers(-6, 6), st.integers(1, 4))),
+        data.draw(st.lists(forms, max_size=4)),
+        data.draw(st.lists(forms, max_size=4)))
+    text = data.draw(_affine_assignments(rank))
+    factors = wf.num + wf.den
+    if factors and data.draw(st.booleans()):
+        # an assignment that sends one factor to zero, placed anywhere;
+        # a canonical form leads with a positive entry f[t]
+        f = data.draw(st.sampled_from(factors))
+        t = next(i for i, c in enumerate(f) if c)
+        kill = "%s=%s" % (param_names(rank)[t], "".join(
+            "%+d/%d*%s" % (-c, f[t], name)
+            for i, (c, name) in enumerate(zip(f, param_names(rank)))
+            if c and i != t) or "0")
+        pieces = text.split(",")
+        pieces.insert(data.draw(st.integers(0, len(pieces))), kill)
+        text = ",".join(pieces)
+    spec = parse_specialization(rank, text)
+    context = data.draw(st.sampled_from([None, "ctx (1,)"]))
+    got = _value_or_error(lambda: specialize(wf, spec, context))
+    assert got == _value_or_error(
+        lambda: specialize_stepwise(wf, spec, context))
+
+
+def test_compiled_specialize_examples():
+    spec = parse_specialization(1, "s1=1/2*s2-1/3*v1,s2=-3*s3+2/3")
+    assert spec.denominator == 6
+    const, vec = specialize_form(spec, (6, 1, 0, 0))
+    assert const == Fraction(8, 3)
+    assert vec == [0, 0, -12, -2]
+    wf = weight_function(1, 2, [(1, 0, 0, 1)], [(1, 0, 0, 0), (0, 0, 1, 0)])
+    for text in ("s1=1/2*s2-1/3*v1", "s1=-v1,s2=1", "v1=-1/2*s2-s3",
+                 "s1=s3,s3=-2/3*v1", "s1=1/2", "s3=0", "s1=-v1"):
+        spec = parse_specialization(1, text)
+        assert (_value_or_error(lambda: specialize(wf, spec, "ctx"))
+                == _value_or_error(
+                    lambda: specialize_stepwise(wf, spec, "ctx"))), text
 
 
 def test_contribution_scaling_balance_small_grid():
