@@ -172,14 +172,12 @@ class WeightFunction:
                 "num": [list(f) for f in self.num],
                 "den": [list(f) for f in self.den]}
 
-    def text(self, names: Sequence[str] | None = None) -> str:
-        """Render the function.  ``names``, when given, are the
-        ``param_names`` of its rank, so a caller that renders many
-        functions of one rank builds them once."""
+    def text(self) -> str:
+        """Render the function, building the parameter names of its rank
+        once for all of its forms."""
         if not self.num and not self.den:
             return str(self.scalar)
-        if names is None:
-            names = param_names(self.rank)
+        names = param_names(self.rank)
         num_txt = "*".join("(%s)" % _form_text(names, f) for f in self.num)
         out = num_txt if num_txt else "1"
         if self.scalar != 1 or not num_txt:

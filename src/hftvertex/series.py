@@ -34,7 +34,7 @@ from typing import TypeVar
 from .chars import HftError, LaurentPoly, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, compositions
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       contribution, param_names, specialize, value_parts,
+                       contribution, specialize, value_parts,
                        weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
@@ -87,10 +87,9 @@ def ws_mul(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:
 def ws_text(a: WeightSum) -> str:
     if not a:
         return "0"
-    names = param_names(a[0].rank)
-    out = a[0].text(names)
+    out = a[0].text()
     for wf in a[1:]:
-        t = wf.text(names)
+        t = wf.text()
         if t.startswith("-"):
             out += " - " + t[1:]
         else:
