@@ -398,8 +398,7 @@ def _summand_factors(vars: VariableSet, j: int, alpha: int, beta: int,
 
 
 def contribution(vars: VariableSet, box: BoxTuple, twist: int,
-                 mode: str = "character", *,
-                 summands: dict | None = None) -> WeightFunction:
+                 mode: str = "character") -> WeightFunction:
     """Localization contribution of one fixed point.
 
     Mode ``character`` derives the weights from the closed form
@@ -413,18 +412,15 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
     the character of the fixed point that keeps only that summand's
     boxes, since the blocks of an empty summand are zero.  The Euler
     class of a negative sum is the product of the Euler classes, so
-    each share is canonicalized once, by one ``weight_function`` call
-    whose errors name the fixed point at hand, and the contribution is
-    the product of the shares: their scalars multiply, their sorted
-    factors merge, and a weight that one share adds and another takes
-    away cancels as a shared factor.  The canonical form is unique, so
-    the result is the one the whole character gives.
-
-    ``summands``, when given, maps ``(j, alpha_j, beta_j, twist, mode)``
-    to the canonical ``WeightFunction`` of that share, and is filled as
-    shares are built, so a caller that sums many fixed points of one
-    rank canonicalizes each share once.  One dict serves one variable
-    set.
+    each share is canonicalized by one ``weight_function`` call whose
+    errors name the fixed point at hand, and the contribution is the
+    product of the shares: their scalars multiply, their sorted factors
+    merge, and a weight that one share adds and another takes away
+    cancels as a shared factor.  The canonical form is unique, so the
+    result is the one the whole character gives.  A caller that needs
+    the same share at many fixed points, as ``assemble_vertex`` does,
+    builds it once as the contribution of the fixed point with one
+    summand and multiplies.
     """
     if box.rank != vars.rank:
         raise VariableSetMismatch(
@@ -432,20 +428,11 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
             % (box.rank, vars.rank))
     if mode not in ("character", "paper"):
         raise ModeUnavailable("unknown contribution mode %r" % (mode,))
-    if summands is None:
-        summands = {}
-    shares: list[WeightFunction] = []
-    for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta)):
-        if not alpha and not beta:
-            continue
-        key = (j, alpha, beta, twist, mode)
-        share = summands.get(key)
-        if share is None:
-            nums, dens = _summand_factors(vars, j, alpha, beta, twist, mode)
-            share = summands[key] = weight_function(
-                vars.rank, 1, nums, dens,
-                "contribution of %r at twist %d" % (box, twist))
-        shares.append(share)
+    context = "contribution of %r at twist %d" % (box, twist)
+    shares = [weight_function(vars.rank, 1, *_summand_factors(
+                  vars, j, alpha, beta, twist, mode), context)
+              for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta))
+              if alpha or beta]
     return _product(vars.rank, shares)
 
 

@@ -7,18 +7,19 @@ values: canonical tuples of weight functions, grouped by their factor
 data.  Exact equality of two weight sums is decided in two exact steps:
 integer evaluation at a few fixed points, where differing values prove
 the sums unequal, then, only when every point agrees, expansion of the
-difference over the least common denominator of its terms.  Each
-contribution is a product over frame summands, and one assembly builds
-the factors of each summand once and reuses them in every stratum that
-shares it.
+difference over the least common denominator of its terms.
 
-At a fixed point the frame splits into r summands, so both the closed
-form counterpart and the count series are the r-th truncated convolution
-power of a one summand series: ``closed_form_series`` raises a one line
-binomial series to the rank power, and ``hft_partition`` turns a count
-series of box configurations into the generating series of a twisted
-rank r theory by reindexing it by the twist first.  One helper computes
-that power for both, on weight sums and on ``Fraction`` counts alike.
+At a fixed point the frame splits into r summands, and a contribution
+is the product of the summands' shares.  So all three series here are
+convolution products of one summand series, truncated at the order:
+``assemble_vertex`` multiplies the r leg series of the frame summands,
+whose coefficient a is the share of that summand with a boxes on the
+first leg; ``closed_form_series`` raises a one line binomial series to
+the rank power; and ``hft_partition`` turns a count series of box
+configurations into the generating series of a twisted rank r theory by
+reindexing it by the twist first.  One helper computes that product for
+all three, on weight sums and on ``Fraction`` counts alike, and sums the
+products of each degree once.
 """
 
 from __future__ import annotations
@@ -28,17 +29,18 @@ from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import reduce
 from typing import TypeVar
 
 from .chars import HftError, LaurentPoly, VariableSet
-from .fixedpoints import BoxTuple, InvalidModel, compositions
+from .fixedpoints import BoxTuple, InvalidModel
 from .localize import (Specialization, WeightForm, WeightFunction,
                        contribution, specialize, value_parts,
                        weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
-_T = TypeVar("_T")
+_C = TypeVar("_C")
+_P = TypeVar("_P")
 
 
 class BinomialIneligible(HftError):
@@ -78,10 +80,6 @@ def ws_add(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:
 
 def ws_scale(rank: int, a: WeightSum, value: Fraction | int) -> WeightSum:
     return weight_sum(rank, [wf.scaled(value) for wf in a])
-
-
-def ws_mul(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:
-    return weight_sum(rank, [x * y for x in a for y in b])
 
 
 def ws_text(a: WeightSum) -> str:
@@ -197,44 +195,40 @@ class VertexSeries:
         return "\n".join(lines)
 
 
-def leg_strata(rank: int, total: int) -> list[BoxTuple]:
-    """Fixed points with all boxes on the first leg: one stratum per
-    composition of the total into rank parts."""
-    return [BoxTuple(parts, (0,) * rank)
-            for parts in compositions(total, rank)]
-
-
 def assemble_vertex(rank: int, twist: int, order: int,
                     mode: str = "character",
                     spec: Specialization | None = None) -> VertexSeries:
     """Vertex series: coefficient k sums the contributions of the first
-    leg strata with k boxes.  The order zero coefficient is one.  A
-    specialization, when given, applies to each contribution separately
-    so error messages can name the fixed point responsible.
+    leg strata with k boxes.  The order zero coefficient is one.
 
-    Each contribution is a product over the frame summands that carry
-    boxes, and a stratum's summand j with a boxes recurs in every
-    stratum of the call that gives summand j a boxes.  So the call
-    keeps one dict of summand factors, passed to ``contribution``, and
-    builds each summand once; the dict dies with the call."""
+    A contribution is the product of the shares of its frame summands,
+    so the series is the convolution product of the r leg series of the
+    summands: coefficient a of leg series j is the contribution of the
+    fixed point with a boxes on the first leg of summand j and none
+    elsewhere, built once.  A specialization, when given, applies to
+    each share separately so error messages can name the fixed point
+    responsible.  Shares are built for a ascending and, for each a, j
+    descending, the order in which they first appear among the strata
+    in lexicographic order, so the first share that fails is the one
+    the strata would reach first."""
     if order < 0:
         raise InvalidModel("order must be nonnegative")
     vars = VariableSet(rank)
-    summands: dict = {}
-    coeffs: list[WeightSum] = [ws_unit(rank)]
-    for k in range(1, order + 1):
-        items = []
-        for box in leg_strata(rank, k):
-            wf = contribution(vars, box, twist, mode, summands=summands)
+    legs = [{0: ws_unit(rank)} for _ in range(rank)]
+    zeros = (0,) * rank
+    for a in range(1, order + 1):
+        for j in reversed(range(rank)):
+            box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
+            wf = contribution(vars, box, twist, mode)
             if spec is not None and not spec.is_trivial():
                 wf = specialize(
                     wf, spec, "contribution of %r at twist %d"
                     % (box, twist))
-            items.append(wf)
-        coeffs.append(weight_sum(rank, items))
+            legs[j][a] = weight_sum(rank, [wf])
+    out = _ws_product(rank, legs, order)
     return VertexSeries(rank, twist, order, mode,
                         spec.source if spec is not None else "",
-                        tuple(coeffs))
+                        tuple(out.get(k, ()) for k in range(order + 1)))
 
 
 def _binomial_factor(exponent: WeightFunction, shift: int) -> WeightFunction:
@@ -276,24 +270,36 @@ def binomial_series(exponent: WeightFunction, order: int
     return out
 
 
-def _convolution_power(base: Mapping[int, _T], exponent: int, order: int,
-                       one: _T, add: Callable[[_T, _T], _T],
-                       mul: Callable[[_T, _T], _T]) -> dict[int, _T]:
-    """The exponent-th convolution power of a sparse degree to
-    coefficient series, dropping every degree beyond the order.  The
-    coefficient ring is given by its one, add and mul."""
-    out = {0: one}
-    for _ in range(exponent):
-        nxt: dict[int, _T] = {}
+def _convolution(factors: Sequence[Mapping[int, _C]], order: int, one: _C,
+                 mul: Callable[[_C, _C], _P],
+                 total: Callable[[list[_P]], _C]) -> dict[int, _C]:
+    """Product of sparse degree to coefficient series, dropping every
+    degree beyond the order; the empty product is ``{0: one}``.  The
+    first factor's coefficients are kept as given, so they must already
+    be in the form ``total`` returns.  Each further factor multiplies
+    the coefficients pairwise with ``mul``, and ``total`` is called once
+    per degree on the list of products that land there."""
+    if not factors:
+        return {0: one}
+    out = {k: c for k, c in factors[0].items() if k <= order}
+    for factor in factors[1:]:
+        products: dict[int, list[_P]] = {}
         for i, a in out.items():
-            for j, b in base.items():
-                k = i + j
-                if k > order:
-                    continue
-                term = mul(a, b)
-                nxt[k] = add(nxt[k], term) if k in nxt else term
-        out = nxt
+            for j, b in factor.items():
+                if i + j <= order:
+                    products.setdefault(i + j, []).append(mul(a, b))
+        out = {k: total(p) for k, p in products.items()}
     return out
+
+
+def _ws_product(rank: int, factors: Sequence[Mapping[int, WeightSum]],
+                order: int) -> dict[int, WeightSum]:
+    """``_convolution`` on weight sum coefficients: the term products
+    that land on a degree are summed by one ``weight_sum`` call."""
+    return _convolution(
+        factors, order, ws_unit(rank),
+        lambda a, b: [x * y for x in a for y in b],
+        lambda parts: weight_sum(rank, [wf for p in parts for wf in p]))
 
 
 def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
@@ -304,8 +310,7 @@ def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
     if order < 0:
         raise InvalidModel("order must be nonnegative")
     base = {j: c for j, c in enumerate(coefficients[:order + 1]) if c}
-    out = _convolution_power(base, exponent, order, ws_unit(rank),
-                             partial(ws_add, rank), partial(ws_mul, rank))
+    out = _ws_product(rank, [base] * exponent, order)
     return [out.get(k, ()) for k in range(order + 1)]
 
 
@@ -423,6 +428,8 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     for m, c in count_series(counts).items():
         key = twist * m
         base[key] = base.get(key, Fraction(0)) + c
-    out = _convolution_power(base, rank, order, Fraction(1),
-                             operator.add, operator.mul)
+    # each degree sums from its first Fraction: a start at int 0 costs
+    # one more mixed-type addition per degree
+    out = _convolution([base] * rank, order, Fraction(1), operator.mul,
+                       lambda terms: reduce(operator.add, terms))
     return {m: c for m, c in sorted(out.items()) if c}

@@ -23,8 +23,11 @@ The whole character road to a contribution is kept as well:
 ``contribution_whole`` takes the Euler class of the negative of the
 total character of the fixed point at once, or, in paper mode, the
 printed factors of all summands in one list.  The package takes the
-product over the frame summands instead, building each summand's
-factors once per vertex series.
+product over the frame summands instead.  So is the enumeration road to
+the vertex series: ``assemble_vertex_enumerated`` sums, order by order,
+the contribution of every first leg stratum listed by ``leg_strata``,
+where the package multiplies the leg series of the frame summands, and
+``ws_mul`` multiplies two weight sums term by term.
 
 The first canonicalizer of weight functions is kept too:
 ``weight_function_fraction`` builds the canonical form in ``Fraction``
@@ -55,13 +58,16 @@ from hftvertex.chars import (CharError, LaurentPoly, Monomial,
                              RationalCharacter, VariableSet,
                              VariableSetMismatch, ZeroDenominator,
                              one_minus)
-from hftvertex.fixedpoints import BoxTuple, FrozenTripleModel, hilbert_poly
-from hftvertex.localize import (AffineWeight, DivisionByZero, WeightForm,
-                                WeightFunction, ZeroWeight, _cross_shifts,
-                                form_text, param_names, weight_function,
+from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
+                                   InvalidModel, compositions, hilbert_poly)
+from hftvertex.localize import (AffineWeight, DivisionByZero, Specialization,
+                                WeightForm, WeightFunction, ZeroWeight,
+                                _cross_shifts, contribution, form_text,
+                                param_names, specialize, weight_function,
                                 weights_of)
-from hftvertex.series import (BinomialIneligible, binomial_series,
-                              eq_weight_sum, weight_sum, ws_unit)
+from hftvertex.series import (BinomialIneligible, VertexSeries, WeightSum,
+                              binomial_series, eq_weight_sum, weight_sum,
+                              ws_unit)
 from hftvertex.vertexchar import frame_sum, frame_sum_inv, total_character
 
 
@@ -421,6 +427,45 @@ def contribution_whole(vars: VariableSet, box: BoxTuple, twist: int,
             f[0] -= i + twist
             dens.append(f)
     return weight_function(vars.rank, 1, nums, dens, context)
+
+
+def ws_mul(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:
+    """Product of two weight sums, term by term."""
+    return weight_sum(rank, [x * y for x in a for y in b])
+
+
+def leg_strata(rank: int, total: int) -> list[BoxTuple]:
+    """Fixed points with all boxes on the first leg: one stratum per
+    composition of the total into rank parts, in lexicographic order."""
+    return [BoxTuple(parts, (0,) * rank)
+            for parts in compositions(total, rank)]
+
+
+def assemble_vertex_enumerated(rank: int, twist: int, order: int,
+                               mode: str = "character",
+                               spec: Specialization | None = None
+                               ) -> VertexSeries:
+    """The vertex series stratum by stratum: coefficient k sums the
+    contribution of every first leg stratum with k boxes, each
+    specialized on its own, so an error names the stratum that fails
+    first in lexicographic order."""
+    if order < 0:
+        raise InvalidModel("order must be nonnegative")
+    vars = VariableSet(rank)
+    coeffs: list[WeightSum] = [ws_unit(rank)]
+    for k in range(1, order + 1):
+        items = []
+        for box in leg_strata(rank, k):
+            wf = contribution(vars, box, twist, mode)
+            if spec is not None and not spec.is_trivial():
+                wf = specialize(
+                    wf, spec, "contribution of %r at twist %d"
+                    % (box, twist))
+            items.append(wf)
+        coeffs.append(weight_sum(rank, items))
+    return VertexSeries(rank, twist, order, mode,
+                        spec.source if spec is not None else "",
+                        tuple(coeffs))
 
 
 def evaluate_fraction(wf, point) -> Fraction:

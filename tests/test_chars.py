@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hftvertex.chars import (CharError, HftError, LaurentPoly,
                              NotPolynomial, RationalCharacter, VariableSet,
@@ -82,6 +84,36 @@ def test_poly_arithmetic_oracles():
     shifted = p.times_monomial(V1.mono(t2=-1), Fraction(1, 2))
     assert shifted.coefficient(V1.mono(t2=-1)) == Fraction(1, 2)
     assert shifted.coefficient(V1.mono(t1=2, t2=-1)) == Fraction(-1, 2)
+
+
+def _polys(vars):
+    """Laurent polynomials with at most four terms, exponents in [-3, 3]
+    and small rational coefficients."""
+    exps = st.tuples(*[st.integers(-3, 3)] * vars.nvars)
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.dictionaries(exps, coeffs, max_size=4).map(
+        lambda terms: LaurentPoly(vars, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_poly_ring_axioms(data):
+    vars = VariableSet(data.draw(st.integers(1, 2)))
+    a, b, c = (data.draw(_polys(vars)) for _ in range(3))
+    zero = LaurentPoly.zero(vars)
+    one = LaurentPoly.one(vars)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert a - a == zero
+    # bar is an involutive ring map
+    assert a.bar().bar() == a
+    assert (a + b).bar() == a.bar() + b.bar()
+    assert (a * b).bar() == a.bar() * b.bar()
+    assert one.bar() == one
 
 
 def test_poly_cross_rank_mismatch():

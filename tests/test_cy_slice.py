@@ -17,13 +17,21 @@ The table also holds the rows of ``compare --rank 2 --order 3`` and
 ``compare rank R order N``: each row's ``ws_to_json`` columns and both
 equality flags, as the JSON output of ``compare`` prints them, recorded
 before the unused package code was deleted.
+
+On the slice each character mode contribution of a fixed point with n
+boxes on its two legs at rank r is the constant (-1)^(r*n), whatever the
+twist; the package nowhere states this sign, and the test derives it
+from the exact equivariant contribution of every fixed point.
 """
 
 import json
 from math import comb
 from pathlib import Path
 
-from hftvertex.localize import parse_specialization
+from hftvertex.chars import VariableSet
+from hftvertex.fixedpoints import enumerate_fixed
+from hftvertex.localize import (contribution, parse_specialization,
+                                specialize, weight_function)
 from hftvertex.series import (assemble_vertex, closed_form_series,
                               compare_rows, ws_to_json)
 
@@ -88,3 +96,18 @@ def test_cy_slice_rows_follow_their_closed_forms():
             else:
                 assert row["paper"][0] == 1
                 assert row["paper"][1:] == [None] * ORDER
+
+
+def test_every_fixed_point_contributes_the_cy_sign():
+    cases = 0
+    for rank in (1, 2, 3):
+        vars = VariableSet(rank)
+        spec = parse_specialization(rank, "s3=-s1-s2")
+        for n in range(5):
+            sign = weight_function(rank, (-1) ** (rank * n))
+            for box in enumerate_fixed(rank, n):
+                for twist in range(4):
+                    wf = contribution(vars, box, twist, "character")
+                    assert specialize(wf, spec) == sign, (box, twist)
+                    cases += 1
+    assert cases == 1180

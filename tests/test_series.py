@@ -12,11 +12,10 @@ from hftvertex.localize import (DivisionByZero, parse_specialization,
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
                               assemble_vertex, binomial_series,
                               closed_form_series, compare_rows, count_series,
-                              eq_weight_sum, hft_partition, leg_strata,
-                              one_leg_exponent, power, reference_series,
-                              weight_sum, ws_add, ws_mul, ws_scale, ws_text,
-                              ws_to_json, ws_unit)
-from oracles import binomiality_test
+                              eq_weight_sum, hft_partition, one_leg_exponent,
+                              power, reference_series, weight_sum, ws_add,
+                              ws_scale, ws_text, ws_to_json, ws_unit)
+from oracles import binomiality_test, leg_strata, ws_mul
 
 
 def wf1(scalar, num=(), den=()):

@@ -2,10 +2,11 @@
 
 ``localize.contribution`` builds the factors of each frame summand that
 carries boxes from the fixed point that keeps only that summand's
-boxes, and ``series.assemble_vertex`` builds each summand once per
-call.  These tests check the split of the character it rests on, the
-zero blocks of empty summands, the reuse of summand factors, and the
-result against the whole character road of ``oracles``.
+boxes, and ``series.assemble_vertex`` multiplies the leg series of the
+frame summands.  These tests check the split of the character it rests
+on, the zero blocks of empty summands, the contribution against the
+whole character road of ``oracles``, and the vertex series, values and
+errors alike, against the stratum by stratum sum of ``oracles``.
 """
 
 from hypothesis import given, settings
@@ -16,9 +17,10 @@ from hftvertex.chars import (HftError, LaurentPoly, RationalCharacter,
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
 from hftvertex.localize import (contribution, parse_specialization,
                                 specialize)
-from hftvertex.series import assemble_vertex, leg_strata, weight_sum
+from hftvertex.series import assemble_vertex, weight_sum, ws_text
 from hftvertex.vertexchar import alpha_block, beta_block, total_character
-from oracles import contribution_whole
+from oracles import assemble_vertex_enumerated, contribution_whole, leg_strata
+from test_localize import _affine_assignments
 
 VARS = {rank: VariableSet(rank) for rank in (1, 2, 3, 4)}
 MODES = ("character", "paper")
@@ -92,28 +94,6 @@ def test_empty_blocks_are_zero():
             assert beta_block(vars, j, 1) != zero
 
 
-def test_shared_summands_never_return_stale_factors():
-    # one dict across twists, modes and fixed points that share summands
-    vars = VARS[3]
-    boxes = [BoxTuple((2, 0, 1), (0, 1, 0)), BoxTuple((2, 1, 0), (0, 0, 0)),
-             BoxTuple((0, 0, 1), (0, 1, 0)), BoxTuple((2, 0, 1), (1, 1, 0))]
-    summands = {}
-    for sweep in range(2):
-        for twist in (0, 1):
-            for mode in MODES:
-                for box in boxes:
-                    got = contribution(vars, box, twist, mode,
-                                       summands=summands)
-                    assert got == contribution_whole(vars, box, twist, mode)
-        if not sweep:
-            filled = dict(summands)
-    # the second sweep reused every summand factor and built none
-    assert summands == filled
-    assert all(len(key) == 5 for key in summands)
-    assert {key[3:] for key in summands} == {
-        (twist, mode) for twist in (0, 1) for mode in MODES}
-
-
 def test_assemble_vertex_sums_the_whole_character_contributions():
     for rank in (1, 2, 3, 4):
         vars = VARS[rank]
@@ -132,3 +112,27 @@ def test_assemble_vertex_sums_the_whole_character_contributions():
                     assert list(got.coefficients) == want, (
                         rank, twist, mode, spec)
 
+
+def _texts(build, *args):
+    return [ws_text(c) for c in build(*args).coefficients]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_assemble_vertex_matches_enumeration_outcome(data):
+    """The convolution of the leg series gives the text of every
+    coefficient, or the error class and message, of the stratum by
+    stratum sum: a refused specialization names the same fixed point
+    and factor on both roads."""
+    rank = data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(0, 4))
+    twist = data.draw(st.integers(0, 2))
+    mode = data.draw(st.sampled_from(MODES))
+    text = data.draw(st.one_of(
+        st.sampled_from(
+            ["", "s3=-s1-s2", "s3=-s1-s2,v1=1", "s1=0", "s2=-s3"]),
+        _affine_assignments(rank)))
+    spec = parse_specialization(rank, text) if text else None
+    assert (_outcome(_texts, assemble_vertex, rank, twist, order, mode, spec)
+            == _outcome(_texts, assemble_vertex_enumerated, rank, twist,
+                        order, mode, spec))

@@ -40,9 +40,9 @@ PUBLIC = {
         "BinomialIneligible", "CountSeries", "InvalidCounts", "VertexSeries",
         "WeightSum", "assemble_vertex", "binomial_series",
         "closed_form_series", "compare_rows", "count_series",
-        "eq_weight_sum", "hft_partition", "leg_strata", "one_leg_exponent",
-        "power", "reference_series", "weight_sum", "ws_add", "ws_mul",
-        "ws_scale", "ws_text", "ws_to_json", "ws_unit"},
+        "eq_weight_sum", "hft_partition", "one_leg_exponent", "power",
+        "reference_series", "weight_sum", "ws_add", "ws_scale", "ws_text",
+        "ws_to_json", "ws_unit"},
     "hftvertex.vertexchar": {
         "alpha_block", "beta_block", "frame_sum", "frame_sum_inv",
         "geometric_sum", "total_character"},
