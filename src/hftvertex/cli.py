@@ -7,7 +7,8 @@ file, and ``stability`` evaluates the stability checks on a model file.
 
 Exit codes: 0 on success, 1 when a computation fails on valid syntax
 (for example a specialization that kills a denominator), 2 on usage,
-parse, or file format errors.
+parse, or file format errors, and on files that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as err:
         raise UsageError("cannot read %s: %s" % (path, err)) from None
-    except json.JSONDecodeError as err:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+    # past the digit limit of int(); RecursionError, nesting too deep
+    except (ValueError, RecursionError) as err:
         raise UsageError("%s is not valid JSON: %s" % (path, err)) from None
 
 
@@ -127,18 +130,93 @@ def _parse_q(text: str) -> tuple[Fraction, ...]:
         raise UsageError("bad q polynomial %r" % text) from None
 
 
+def _json_text(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for
+    a document of str-keyed dicts, lists, strings, ints, booleans and
+    None; any other value or key, a float included, raises
+    ``TypeError``.
+
+    For an indented dump the stdlib runs its pure-Python encoder.  Here
+    strings go through its C escaper, and a list of plain ints is joined
+    once per distinct list and depth: the weight forms of a series
+    recur many times."""
+    escape = json.encoder.encode_basestring_ascii
+    joined: dict[tuple, str] = {}
+    parts: list[str] = []
+    put = parts.append
+
+    def write(v, indent: str) -> None:
+        # indent is the newline and indentation that close v
+        if isinstance(v, str):
+            put(escape(v))
+        elif isinstance(v, list):
+            if not v:
+                put("[]")
+                return
+            inner = indent + "  "
+            # by type, so that a bool in the list is never written as 1
+            if set(map(type, v)) == {int}:
+                key = (inner, *v)
+                text = joined.get(key)
+                if text is None:
+                    text = joined[key] = "[%s%s%s]" % (
+                        inner, ("," + inner).join(map(int.__repr__, v)),
+                        indent)
+                put(text)
+                return
+            put("[")
+            sep = inner
+            for x in v:
+                put(sep)
+                write(x, inner)
+                sep = "," + inner
+            put(indent + "]")
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = indent + "  "
+            put("{")
+            sep = inner
+            for k in sorted(v):
+                put(sep)
+                put(escape(k))
+                put(": ")
+                write(v[k], inner)
+                sep = "," + inner
+            put(indent + "}")
+        elif v is None:
+            put("null")
+        elif v is True:
+            put("true")
+        elif v is False:
+            put("false")
+        elif isinstance(v, int):
+            put(int.__repr__(v))
+        else:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(v).__name__)
+
+    write(doc, "\n")
+    return "".join(parts)
+
+
 def _emit(args, doc: dict, text: Callable[[], str]) -> int:
     """Write the JSON form of ``doc`` or the plain text that ``text``
     renders, as the format option asks, each with one final newline.
     Text is rendered only when asked for: it can cost as much as the
-    computation."""
+    computation.  A file that cannot be written is a usage error."""
     if args.format == "json":
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        payload = _json_text(doc) + "\n"
     else:
         payload = text() + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as err:
+            raise UsageError("cannot write %s: %s" % (args.out, err)) \
+                from None
     else:
         sys.stdout.write(payload)
     return 0

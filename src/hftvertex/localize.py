@@ -173,23 +173,31 @@ class WeightFunction:
                 "den": [list(f) for f in self.den]}
 
     def text(self) -> str:
-        """Render the function, building the parameter names of its rank
-        once for all of its forms."""
-        if not self.num and not self.den:
-            return str(self.scalar)
-        names = param_names(self.rank)
-        num_txt = "*".join("(%s)" % _form_text(names, f) for f in self.num)
-        out = num_txt if num_txt else "1"
-        if self.scalar != 1 or not num_txt:
-            out = "%s * %s" % (self.scalar, out) if num_txt else str(
-                self.scalar)
-        if self.den:
-            out += "/" + "*".join("(%s)" % _form_text(names, f)
-                                  for f in self.den)
-        return out
+        return _wf_text(self, {})
 
     def __repr__(self) -> str:
         return self.text()
+
+
+def _wf_text(wf: WeightFunction, forms: dict[WeightForm, str]) -> str:
+    """Render ``wf``.  ``forms`` maps each form rendered so far to its
+    ``(...)`` text; the caller keeps it for one render, so a form that
+    recurs across the terms of a sum is built once."""
+    if not wf.num and not wf.den:
+        return str(wf.scalar)
+    missing = [f for f in (*wf.num, *wf.den) if f not in forms]
+    if missing:
+        names = param_names(wf.rank)
+        for f in missing:
+            forms[f] = "(%s)" % _form_text(names, f)
+    out = "*".join(map(forms.__getitem__, wf.num))
+    if not out:
+        out = str(wf.scalar)
+    elif wf.scalar != 1:
+        out = "%s * %s" % (wf.scalar, out)
+    if wf.den:
+        out += "/" + "*".join(map(forms.__getitem__, wf.den))
+    return out
 
 
 def _cleared(point: Sequence[Fraction | int]) -> tuple[list[int], int]:

@@ -35,7 +35,7 @@ from typing import TypeVar
 from .chars import HftError, LaurentPoly, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       contribution, specialize, value_parts,
+                       _wf_text, contribution, specialize, value_parts,
                        weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
@@ -85,9 +85,10 @@ def ws_scale(rank: int, a: WeightSum, value: Fraction | int) -> WeightSum:
 def ws_text(a: WeightSum) -> str:
     if not a:
         return "0"
-    out = a[0].text()
+    forms: dict[WeightForm, str] = {}
+    out = _wf_text(a[0], forms)
     for wf in a[1:]:
-        t = wf.text()
+        t = _wf_text(wf, forms)
         if t.startswith("-"):
             out += " - " + t[1:]
         else:
@@ -391,13 +392,16 @@ def count_series(data: Mapping) -> CountSeries:
     refused rather than converted."""
     out: CountSeries = {}
     for key, value in data.items():
+        # refused before converting: Fraction of an infinite float raises
+        # OverflowError
         bad = isinstance(key, (bool, float)) or isinstance(
             value, (bool, float))
-        try:
-            m = int(key)
-            c = Fraction(value)
-        except (ValueError, TypeError, ZeroDivisionError):
-            bad = True
+        if not bad:
+            try:
+                m = int(key)
+                c = Fraction(value)
+            except (ValueError, TypeError, ZeroDivisionError):
+                bad = True
         if bad:
             raise InvalidCounts("bad count entry %r: %r" % (key, value))
         if m < 0:

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from hftvertex.cli import main
+from hftvertex.cli import _json_text, main
 
 
 def run(capsys, argv):
@@ -278,3 +280,62 @@ def test_module_entry_point():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "c[0] = 1"
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run(capsys, [
+            "vertex", "--order", "1", "--out", str(path)])
+        assert code == 2 and out == "", path
+        assert err.startswith("error: cannot write %s: " % path), path
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [
+    b'{"1": "\xff"}',                      # not UTF-8
+    b"[" * 100000 + b"]" * 100000,         # too deep for the decoder
+    b'{"1": ' + b"1" * 5000 + b"}",         # past the digit limit of int()
+], ids=["undecodable", "too_deep", "too_many_digits"])
+def test_unreadable_input_files_exit_two(tmp_path, capsys, data):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    for argv in (["partition", "--p-file", str(path)],
+                 ["stability", "--model-file", str(path),
+                  "--q-poly", "0,0,1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: %s is not valid JSON: " % path), argv
+
+
+@pytest.mark.parametrize("count", ["Infinity", "-Infinity", "1e400", "NaN"])
+def test_non_finite_counts_exit_two(tmp_path, capsys, count):
+    path = tmp_path / "counts.json"
+    path.write_text('{"1": %s}' % count)
+    code, out, err = run(capsys, ["partition", "--p-file", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad count entry")
+
+
+# Lists of small ints recur, at one depth and at several, as the weight
+# forms of a series do; bools mixed into int lists must stay bools.
+_INT_LISTS = st.lists(st.integers(-2, 2), max_size=3) | st.lists(
+    st.integers() | st.booleans(), max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | _INT_LISTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40)
+
+
+@given(_JSON)
+@example({"a": [[1, 2], [[1, 2]]], "b": [1, True], "c": [1, 1],
+          "d": [[], {}, -10 ** 40], "\u00e9\n\"": "\t\u2603\\"})
+def test_json_text_is_the_indented_dump(doc):
+    assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_json_text_refuses_floats_and_non_string_keys():
+    for doc in (0.5, [1, 2.0], {"a": [1.0]}, {"a": {"b": float("nan")}},
+                {1: 2}, {"a": {None: 1}}):
+        with pytest.raises(TypeError):
+            _json_text(doc)

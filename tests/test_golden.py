@@ -32,6 +32,10 @@ GOLDEN = {
         "7c02176256fbd80d3f001e0660bbbf648c0f7442ebf5b5ef0568dbb67ad5acd9",
     "vertex --rank 3 --order 2 --mode paper":
         "11940594598cadb33ada3e2586ca63e86465354f10c4824d5e9ffc912ef436f4",
+    "vertex --rank 3 --order 3 --format json":
+        "1329865b533320569b16b19a5b6f1d0d8b393e9c745354d40179bc536f6cfdf7",
+    "vertex --rank 3 --order 4":
+        "833d5c24be3beb28f4a9b49927e8141c5ea2955f389b93a32382c53a4bc739b1",
     "vertex --rank 2 --twist 1 --order 3 --mode closed_form":
         "af51dbceba62993ac3f53aa214e53cc6658866e02501f32ef7b8c2b9e585781f",
     "vertex --rank 2 --twist 1 --order 3 --mode closed_form --format json":
@@ -44,6 +48,8 @@ GOLDEN = {
         "d6bd12c7034c7ca83a43858621d350172c5045729122bbc993ca9bbace92e141",
     "compare --rank 2 --order 2 --format json":
         "eee3ed17d6e29caf5b5f673e364e440738343804b031dd025468da7e9d3ad647",
+    "compare --rank 2 --order 2 --twist 1 --format json":
+        "93b9649e949e1145c489a008644bd525d849f524f9b5b3be06cf5fb0b49d71ec",
     "compare --rank 1 --twist 1 --order 3 --specialize s3=-s1-s2,v1=1":
         "7e07291f410141e6b60667c89e275d3f3928a9c30fccd888a61d4f41fc93c3d0",
     "compare --rank 1 --twist 1 --order 3 --specialize s3=-s1-s2,v1=1 --format json":

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hftvertex.fixedpoints import InvalidModel
 from hftvertex.localize import (DivisionByZero, parse_specialization,
@@ -43,6 +45,30 @@ def test_ws_text():
     a = wf1(1, [(0, 1, 1, 0)], [(1, 0, 0, 0)])
     b = wf1(-2)
     assert ws_text(weight_sum(1, [b, a])) == "-2 + (s2 + s3)/(s1)"
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_ws_text_joins_the_term_texts(data):
+    # small entries make forms recur across the terms of a sum, the case
+    # in which ws_text renders a form once for all its terms
+    rank = data.draw(st.integers(1, 3))
+    forms = st.lists(st.tuples(*[st.integers(-2, 2)] * (3 + rank)).filter(
+        any), max_size=3)
+    scalars = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    terms = data.draw(st.lists(st.tuples(scalars, forms, forms), max_size=6))
+    s = weight_sum(rank, [weight_function(rank, c, num, den)
+                          for c, num, den in terms])
+    want = "0"
+    for i, wf in enumerate(s):
+        t = wf.text()
+        if i == 0:
+            want = t
+        elif t.startswith("-"):
+            want += " - " + t[1:]
+        else:
+            want += " + " + t
+    assert ws_text(s) == want
 
 
 def test_ws_to_json_shapes():
@@ -304,7 +330,8 @@ def test_vertex_series_text_and_json():
 def test_count_series_normalization():
     assert count_series({"2": "3/2", 1: 0}) == {2: Fraction(3, 2)}
     for data in ({-1: 1}, {1: 0.5}, {1: True}, {1.0: 1}, {1: "1/0"},
-                 {"x": 1}):
+                 {"x": 1}, {1: float("inf")}, {1: float("-inf")},
+                 {1: float("nan")}):
         with pytest.raises(InvalidCounts):
             count_series(data)
 
