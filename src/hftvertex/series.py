@@ -19,7 +19,9 @@ the rank power; and ``hft_partition`` turns a count series of box
 configurations into the generating series of a twisted rank r theory by
 reindexing it by the twist first.  One helper computes that product for
 all three, on weight sums and on ``Fraction`` counts alike, and sums the
-products of each degree once.
+products of each degree once.  The frame summands are interchangeable,
+so leg series j is leg series r with v_j and v_r exchanged: one share
+is built per order, and each exchanged share is specialized on its own.
 """
 
 from __future__ import annotations
@@ -206,21 +208,25 @@ def assemble_vertex(rank: int, twist: int, order: int,
     so the series is the convolution product of the r leg series of the
     summands: coefficient a of leg series j is the contribution of the
     fixed point with a boxes on the first leg of summand j and none
-    elsewhere, built once.  A specialization, when given, applies to
-    each share separately so error messages can name the fixed point
-    responsible.  Shares are built for a ascending and, for each a, j
-    descending, the order in which they first appear among the strata
-    in lexicographic order, so the first share that fails is the one
-    the strata would reach first."""
+    elsewhere.  Only the share of summand r is built at each order; the
+    share of summand j is that one with v_j and v_r exchanged.  A
+    specialization, when given, applies to each share separately so
+    error messages can name the fixed point responsible.  Shares are
+    specialized for a ascending and, for each a, j descending, the order
+    in which they first appear among the strata in lexicographic order,
+    so the first share that fails is the one the strata would reach
+    first."""
     if order < 0:
         raise InvalidModel("order must be nonnegative")
     vars = VariableSet(rank)
     legs = [{0: ws_unit(rank)} for _ in range(rank)]
     zeros = (0,) * rank
     for a in range(1, order + 1):
+        last = contribution(vars, BoxTuple(zeros[1:] + (a,), zeros),
+                            twist, mode)
         for j in reversed(range(rank)):
             box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
-            wf = contribution(vars, box, twist, mode)
+            wf = _exchanged(last, j)
             if spec is not None and not spec.is_trivial():
                 wf = specialize(
                     wf, spec, "contribution of %r at twist %d"
@@ -230,6 +236,18 @@ def assemble_vertex(rank: int, twist: int, order: int,
     return VertexSeries(rank, twist, order, mode,
                         spec.source if spec is not None else "",
                         tuple(out.get(k, ()) for k in range(order + 1)))
+
+
+def _exchanged(wf: WeightFunction, j: int) -> WeightFunction:
+    """``wf`` with the frame parameters of summands j and r exchanged,
+    canonicalized again: a form with no torus part can change sign."""
+    k, r = 3 + j, 2 + wf.rank
+    if k == r:
+        return wf
+    swap = [f[:k] + f[r:] + f[k + 1:r] + f[k:k + 1]
+            for f in (*wf.num, *wf.den)]
+    return weight_function(wf.rank, wf.scalar, swap[:len(wf.num)],
+                           swap[len(wf.num):])
 
 
 def _binomial_factor(exponent: WeightFunction, shift: int) -> WeightFunction:

@@ -157,6 +157,15 @@ def test_exit_code_one_on_computation_failure(tmp_path, capsys):
         "vertex", "--order", "1", "--specialize", "s1=0"])
     assert code == 1 and out == ""
     assert err.startswith("error: denominator factor")
+    # the refused share is that of summand one, the exchange of summand
+    # two's share, so the error names the box of summand one
+    code, out, err = run(capsys, [
+        "vertex", "--rank", "2", "--order", "2",
+        "--specialize", "s1=v1-v2"])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: denominator factor s1 - v1 + v2 specializes to zero in "
+        "contribution of BoxTuple(alpha=(1, 0), beta=(0, 0)) at twist 0\n")
     mfile = tmp_path / "model.json"
     mfile.write_text(json.dumps(
         {"rank": 1, "p_total": ["1", "1"], "p_image": ["1", "1"],

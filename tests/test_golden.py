@@ -44,6 +44,12 @@ GOLDEN = {
         "82d2a51b3e7bb2f15937f042ed1bcc6d3c8d25120f40f57e6ef5785b67146536",
     "vertex --rank 2 --twist 1 --order 2 --specialize s3=-s1-s2 --format json":
         "6499545415ec22757b3970545d30c80e70c616c726b4723f6a5f6887de7ed978",
+    "vertex --rank 3 --order 2 --specialize v1=v3":
+        "db654e0abfcbb59adf5c86a9b50492f70e3f8b9311536d9bba8d072ef8044298",
+    "vertex --rank 4 --order 3 --twist 1 --specialize s3=-s1-s2,v2=v1":
+        "567840f825b980bee72a6b8d008f5137c111240d9fc6c89f1dc69f00bb6215ff",
+    "vertex --rank 4 --order 3 --twist 1 --specialize s3=-s1-s2,v2=v1 --format json":
+        "e771c8cb14b1789f9240a1819dd0605dfa578dbbda664e82e2b81c3e48d218f6",
     "compare --rank 2 --order 2":
         "d6bd12c7034c7ca83a43858621d350172c5045729122bbc993ca9bbace92e141",
     "compare --rank 2 --order 2 --format json":
