@@ -269,7 +269,13 @@ def _run_partition(args) -> int:
     if not isinstance(counts, dict):
         raise UsageError("count file must be a JSON object")
     result = hft_partition(counts, args.twist, args.rank, args.order)
-    pairs = [[m, str(c)] for m, c in sorted(result.items())]
+    pairs = []
+    for m, c in sorted(result.items()):
+        try:
+            pairs.append([m, str(c)])
+        except ValueError:  # str() of an int past its digit limit
+            raise HftError("coefficient of q^%d has more than %d digits"
+                           % (m, sys.get_int_max_str_digits())) from None
     doc = {"rank": args.rank, "twist": args.twist,
            "order": args.order, "counts": pairs}
     return _emit(args, doc, lambda: "\n".join(

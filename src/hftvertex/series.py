@@ -18,10 +18,10 @@ first leg; ``closed_form_series`` raises a one line binomial series to
 the rank power; and ``hft_partition`` turns a count series of box
 configurations into the generating series of a twisted rank r theory by
 reindexing it by the twist first.  One helper computes that product for
-all three, on weight sums and on ``Fraction`` counts alike, and sums the
-products of each degree once.  The frame summands are interchangeable,
-so leg series j is leg series r with v_j and v_r exchanged: one share
-is built per order, and each exchanged share is specialized on its own.
+all three, on weight sums and on counts cleared to integers alike, and
+sums the products of each degree once.  The frame summands are
+interchangeable, so leg series j is leg series r with v_j and v_r
+exchanged: one share is built per order, and each is specialized on its own.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from math import lcm
 from typing import TypeVar
 
 from .chars import HftError, LaurentPoly, VariableSet
@@ -432,13 +432,13 @@ def count_series(data: Mapping) -> CountSeries:
 def hft_partition(counts: Mapping, twist: int, rank: int,
                   order: int) -> CountSeries:
     """Generating series of the twisted rank r theory built from a one
-    summand count series: reindex degrees by the twist, convolve rank
-    many times, and truncate beyond the order.
+    summand count series: reindex degrees by the twist, clear the
+    denominators by their lcm L, convolve rank times in integers up to
+    the order, and divide each coefficient by L^rank.
 
     The counts go through ``count_series`` first, which raises
     ``InvalidCounts`` on a bad entry.  Twist zero collapses the
-    reindexed series to a constant; an empty input gives the zero
-    series.
+    reindexed series to a constant; an empty input gives the zero series.
     """
     if rank < 1:
         raise InvalidModel("rank must be at least one")
@@ -450,8 +450,8 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     for m, c in count_series(counts).items():
         key = twist * m
         base[key] = base.get(key, Fraction(0)) + c
-    # each degree sums from its first Fraction: a start at int 0 costs
-    # one more mixed-type addition per degree
-    out = _convolution([base] * rank, order, Fraction(1), operator.mul,
-                       lambda terms: reduce(operator.add, terms))
-    return {m: c for m, c in sorted(out.items()) if c}
+    scale = lcm(*(c.denominator for c in base.values()))
+    cleared = {m: c.numerator * (scale // c.denominator)
+               for m, c in base.items() if c}
+    out = _convolution([cleared] * rank, order, 1, operator.mul, sum)
+    return {m: Fraction(c, scale**rank) for m, c in sorted(out.items()) if c}

@@ -42,12 +42,15 @@ Finally it holds the tools only the tests need: ``eq_rational``, equality
 of values of rational characters; ``poly_substituted`` and
 ``char_substituted``, signed monomial substitutions, which the raw road
 uses to change charts; ``binomiality_test``, which recognizes a binomial
-coefficient list; and ``box_model``, the Hilbert polynomial model of a
-fixed point.
+coefficient list; ``box_model``, the Hilbert polynomial model of a
+fixed point; and ``brute_partition``, the multinomial expansion of a
+twisted rank r count series, which the package computes by convolution
+in integers.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -764,3 +767,22 @@ def box_model(box: BoxTuple) -> FrozenTripleModel:
     line = hilbert_poly((r, r))
     return FrozenTripleModel(r, hilbert_poly((r + k, r)), line,
                              ((line, True),))
+
+
+def brute_partition(counts: Mapping, twist: int, rank: int,
+                    order: int) -> dict[int, Fraction]:
+    """Multinomial expansion of a twisted rank r count series: each
+    ordered choice of rank nonzero entries, repeats allowed, adds the
+    product of its counts, in ``Fraction``s, at the twist times the sum
+    of its degrees; degrees beyond the order and zero sums are dropped."""
+    support = [(int(m), Fraction(c)) for m, c in counts.items() if c]
+    out: dict[int, Fraction] = {}
+    for combo in itertools.product(support, repeat=rank):
+        degree = sum(twist * m for m, _ in combo)
+        if degree > order:
+            continue
+        value = Fraction(1)
+        for _, c in combo:
+            value *= c
+        out[degree] = out.get(degree, Fraction(0)) + value
+    return {m: c for m, c in sorted(out.items()) if c}

@@ -21,8 +21,9 @@ from hftvertex.localize import (contribution, parse_specialization,
 from hftvertex.series import (assemble_vertex, compare_rows,
                               hft_partition, one_leg_exponent, ws_text)
 from hftvertex.vertexchar import total_character
-from oracles import (binomiality_test, char_substituted, edge_g_local,
-                     eq_rational, frame_part, leg_strata, poly_substituted)
+from oracles import (binomiality_test, brute_partition, char_substituted,
+                     edge_g_local, eq_rational, frame_part, leg_strata,
+                     poly_substituted)
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)
@@ -107,20 +108,6 @@ def test_criterion_02_cy_rank_one_series_is_alternating():
               "with per order reference differences", 1.0, body)
 
 
-def _brute_partition(counts, twist, rank, order):
-    support = [(m, Fraction(c)) for m, c in counts.items() if c]
-    out = {}
-    for combo in itertools.product(support, repeat=rank):
-        degree = sum(twist * m for m, _ in combo)
-        if degree > order:
-            continue
-        value = Fraction(1)
-        for _, c in combo:
-            value *= c
-        out[degree] = out.get(degree, Fraction(0)) + value
-    return {m: c for m, c in sorted(out.items()) if c}
-
-
 def test_criterion_03_partition_matches_multinomial_oracle():
     def body():
         rng = random.Random(1003)
@@ -133,7 +120,7 @@ def test_criterion_03_partition_matches_multinomial_oracle():
             rank = rng.randint(1, 4)
             order = rng.randint(0, 20)
             assert hft_partition(counts, twist, rank, order) == \
-                _brute_partition(counts, twist, rank, order)
+                brute_partition(counts, twist, rank, order)
     _check(3, "twisted rank r partition series equals the brute force "
               "multinomial expansion on 50 random inputs", 1.0, body)
 

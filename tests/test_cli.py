@@ -325,6 +325,18 @@ def test_non_finite_counts_exit_two(tmp_path, capsys, count):
     assert err.startswith("error: bad count entry")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coefficient_past_the_digit_limit_exits_one(tmp_path, capsys, fmt):
+    # the count reads in, but its square has 8,000 digits, which str()
+    # refuses to print
+    path = tmp_path / "counts.json"
+    path.write_text('{"0": "%s"}' % ("9" * 4000))
+    code, out, err = run(capsys, ["partition", "--p-file", str(path),
+                                  "--rank", "2", "--format", fmt])
+    assert code == 1 and out == ""
+    assert err == "error: coefficient of q^0 has more than 4300 digits\n"
+
+
 # Lists of small ints recur, at one depth and at several, as the weight
 # forms of a series do; bools mixed into int lists must stay bools.
 _INT_LISTS = st.lists(st.integers(-2, 2), max_size=3) | st.lists(

@@ -22,6 +22,11 @@ On the slice each character mode contribution of a fixed point with n
 boxes on its two legs at rank r is the constant (-1)^(r*n), whatever the
 twist; the package nowhere states this sign, and the test derives it
 from the exact equivariant contribution of every fixed point.
+
+Summed over the fixed points with n boxes, those contributions give
+coefficient n of the rank r series of local P^1, which is Z_1^r with
+Z_1(q) = (1+q)^-2 up to the sign (-1)^((r-1)n): localization on one
+side, ``hft_partition`` of the rank one counts on the other.
 """
 
 import json
@@ -33,7 +38,8 @@ from hftvertex.fixedpoints import enumerate_fixed
 from hftvertex.localize import (contribution, parse_specialization,
                                 specialize, weight_function)
 from hftvertex.series import (assemble_vertex, closed_form_series,
-                              compare_rows, ws_to_json)
+                              compare_rows, hft_partition, weight_sum,
+                              ws_to_json)
 
 TABLE = json.loads(
     (Path(__file__).parent / "cy_slice_table.json").read_text())
@@ -111,3 +117,20 @@ def test_every_fixed_point_contributes_the_cy_sign():
                     assert specialize(wf, spec) == sign, (box, twist)
                     cases += 1
     assert cases == 1180
+
+
+def test_localization_sum_agrees_with_the_count_series():
+    rank_one = {m: (-1) ** m * (m + 1) for m in range(ORDER + 1)}
+    for rank in (1, 2, 3):
+        vars = VariableSet(rank)
+        spec = parse_specialization(rank, "s3=-s1-s2")
+        counts = hft_partition(rank_one, 1, rank, ORDER)
+        for twist in (0, 1):
+            for n in range(ORDER + 1):
+                total = weight_sum(rank, [
+                    specialize(contribution(vars, box, twist, "character"),
+                               spec)
+                    for box in enumerate_fixed(rank, n)])
+                want = (-1) ** ((rank - 1) * n) * counts.get(n, 0)
+                assert total == weight_sum(
+                    rank, [weight_function(rank, want)]), (rank, twist, n)

@@ -15,6 +15,9 @@ from hftvertex.cli import main
 
 FILES = {
     "counts": '{"0": 1, "1": "-3/2", "2": 4, "3": 0, "5": "2/7"}',
+    # pairwise coprime denominators: their lcm is their product
+    "coprime": '{"0": "1/7", "1": "-3/11", "2": "5/13", "4": "-2/17", '
+               '"7": "4/19"}',
     "model": json.dumps({
         "rank": 2, "p_total": ["3", "2"], "p_image": ["1", "1"],
         "subobjects": [{"p": ["1", "1"], "factors": True},
@@ -64,6 +67,10 @@ GOLDEN = {
         "e4a83a265f5c77eb59519b05adb24fad24129ba5ab89a5ce148a7a68cf840db1",
     "partition --p-file {counts} --twist 2 --rank 3 --order 12 --format json":
         "f8a9da97beac223dad273d9e37e8d55b155865b79362814385ebc90986285b55",
+    "partition --p-file {coprime} --twist 1 --rank 8 --order 60":
+        "2024519f911aec36f8db7ed8f6eeb5d1224ab815e9dabd54c9a50cc9c6fa6a09",
+    "partition --p-file {coprime} --twist 1 --rank 8 --order 60 --format json":
+        "2b3dec9c177750fa8d0d63ece116b05e927a437fee7a777e08093f1b6cb0c67b",
     "stability --model-file {model} --q-poly 0,0,1":
         "2ce8f606e2583b8b0b01b9360ffaca45789cd8966fd8200ba90ceaadc22911e1",
     "stability --model-file {model} --q-poly=-1,2 --format json":

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hftvertex.fixedpoints import InvalidModel
@@ -17,7 +17,7 @@ from hftvertex.series import (BinomialIneligible, InvalidCounts,
                               eq_weight_sum, hft_partition, one_leg_exponent,
                               power, reference_series, weight_sum, ws_add,
                               ws_scale, ws_text, ws_to_json, ws_unit)
-from oracles import binomiality_test, leg_strata, ws_mul
+from oracles import binomiality_test, brute_partition, leg_strata, ws_mul
 
 
 def wf1(scalar, num=(), den=()):
@@ -342,6 +342,10 @@ def test_hft_partition_oracles():
         4: Fraction(1), 6: Fraction(6), 8: Fraction(9)}
     assert hft_partition({}, 1, 2, 4) == {}
     assert hft_partition({1: 2, 3: 1}, 0, 2, 4) == {0: Fraction(9)}
+    # at twist zero every degree lands on zero, where these counts cancel
+    assert hft_partition({1: Fraction(1, 7), 2: Fraction(-1, 7)},
+                         0, 3, 5) == {}
+    assert hft_partition({0: 2, 3: -1, 4: -1}, 0, 2, 0) == {}
 
 
 def test_hft_partition_guards():
@@ -351,20 +355,6 @@ def test_hft_partition_guards():
         hft_partition({1: 1}, -1, 1, 4)
     with pytest.raises(InvalidModel):
         hft_partition({1: 1}, 1, 1, -1)
-
-
-def brute_partition(counts, twist, rank, order):
-    support = list(counts.items())
-    out = {}
-    for combo in itertools.product(support, repeat=rank):
-        degree = sum(twist * m for m, _ in combo)
-        if degree > order:
-            continue
-        value = Fraction(1)
-        for _, c in combo:
-            value *= Fraction(c)
-        out[degree] = out.get(degree, Fraction(0)) + value
-    return {m: c for m, c in sorted(out.items()) if c}
 
 
 def test_hft_partition_matches_multinomial_expansion():
@@ -380,3 +370,29 @@ def test_hft_partition_matches_multinomial_expansion():
         order = rng.randint(0, 20)
         assert hft_partition(counts, twist, rank, order) == brute_partition(
             counts, twist, rank, order)
+
+
+# pairwise coprime denominators, up to about 1e9, so that the lcm the
+# package clears by and its rank-th power grow large
+_DENOMINATORS = (1, 2, 7, 11, 13, 17, 19, 10007, 1000003, 998244353)
+_COUNTS = st.dictionaries(
+    st.integers(0, 6),
+    st.builds(Fraction, st.integers(-10**6, 10**6),
+              st.sampled_from(_DENOMINATORS)),
+    max_size=4)
+
+
+@settings(deadline=None)
+@given(_COUNTS, st.integers(0, 3), st.integers(1, 6), st.integers(0, 24))
+@example({1: Fraction(1, 7), 2: Fraction(-1, 7)}, 0, 3, 5)
+@example({0: Fraction(3, 10007), 2: Fraction(-5, 998244353),
+          3: Fraction(1, 1000003), 4: -7}, 1, 6, 0)
+@example({0: Fraction(-2, 11), 1: Fraction(3, 13), 3: Fraction(-1, 17),
+          5: Fraction(4, 19)}, 2, 6, 24)
+def test_hft_partition_matches_brute_force_on_exact_counts(
+        counts, twist, rank, order):
+    # the brute force walks every ordered choice of rank entries
+    assert len(counts) ** rank <= 4096
+    got = hft_partition(counts, twist, rank, order)
+    assert got == brute_partition(counts, twist, rank, order)
+    assert all(isinstance(c, Fraction) for c in got.values())
