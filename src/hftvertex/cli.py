@@ -125,7 +125,7 @@ def _parse_model(data) -> FrozenTripleModel:
 
 def _parse_q(text: str) -> tuple[Fraction, ...]:
     try:
-        return hilbert_poly(Fraction(x) for x in text.split(","))
+        return hilbert_poly(text.split(","))
     except (ValueError, ZeroDivisionError):
         raise UsageError("bad q polynomial %r" % text) from None
 

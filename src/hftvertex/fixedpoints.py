@@ -17,6 +17,7 @@ read off without building the combination.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,10 +97,22 @@ def enumerate_fixed(rank: int, total: int) -> list[BoxTuple]:
     return out
 
 
+def _rational(value: Fraction | int | str) -> Fraction:
+    """``Fraction(value)``, refusing with ``ValueError`` a string whose
+    decimal exponent exceeds the digit limit of ``int`` in magnitude:
+    ``Fraction("1e3000000")`` would build that power of ten first."""
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        limit = sys.get_int_max_str_digits()
+        exponent = value.lower().rpartition("e")[2]
+        if limit and abs(int(exponent)) > limit:
+            raise ValueError("exponent of %r exceeds %d" % (value, limit))
+    return Fraction(value)
+
+
 def hilbert_poly(coeffs: Iterable[Fraction | int | str]) -> HilbertPoly:
     """Normalize a coefficient list (lowest degree first) to a tuple of
     Fractions without trailing zeros; the zero polynomial is ()."""
-    cs = [Fraction(c) for c in coeffs]
+    cs = [_rational(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)

@@ -20,9 +20,12 @@ the shares; since the canonical form is unique, that product is the
 very weight function the whole character gives.
 
 Specializations substitute affine rational expressions for parameters,
-for example the Calabi Yau slice s3 = -s1 - s2.  Parsing compiles the
-ordered assignments once into integer images of the unit forms over a
-common denominator, so each factor specializes by integer dot products.
+for example the Calabi Yau slice s3 = -s1 - s2.  A specialization is
+only its compiled map: parsing composes each assignment, as it reads
+it, into the images of the unit forms, and clears them to integers
+over a common denominator, so each factor specializes by integer dot
+products.  The source text is kept for display and is empty exactly
+for the identity.
 A specialized factor either stays a genuine linear form, collapses to a
 nonzero constant that folds into the scalar, or collapses to zero,
 which is an error that names the offending configuration.
@@ -31,6 +34,7 @@ which is an error that names the offending configuration.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -445,18 +449,9 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
 
 
 @dataclass(frozen=True)
-class SpecStep:
-    """One assignment: parameter index -> constant + linear part."""
-
-    target: int
-    const: Fraction
-    coeffs: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class Specialization:
-    """Ordered parameter assignments, applied left to right, and their
-    composite compiled into integers.
+    """Ordered parameter assignments, applied left to right, compiled
+    into integers.
 
     Each assignment is linear in the form it acts on, so the ordered
     list sends a form f to the constant sum_i f_i K_i and the linear
@@ -465,22 +460,23 @@ class Specialization:
     images.  ``columns`` holds, first for the constant and then for each
     parameter, the integers D*K_i (or the entries of D*V_i) over i, so
     one integer dot product with f per column gives D times the image
-    of f."""
+    of f.  ``source`` is the assignment list as given, empty for the
+    identity."""
 
     rank: int
-    steps: tuple[SpecStep, ...]
     source: str
     columns: tuple[tuple[int, ...], ...]
     denominator: int
 
     def is_trivial(self) -> bool:
-        return not self.steps
+        return not self.source
 
 
 # a rational constant: an integer, or one over a nonzero denominator
 _RATIONAL = r"\d+(?:/0*[1-9]\d*)?"
-_CONST_RE = re.compile(_RATIONAL + "$")
-_TERM_RE = re.compile(r"(?:(%s)\*)?([sv]\d+)$" % _RATIONAL)
+# a constant, or a parameter with an optional rational coefficient
+_TERM_RE = re.compile(r"(%s)$|(?:(%s)\*)?([sv]\d+)$"
+                      % (_RATIONAL, _RATIONAL))
 
 
 def _var_index(rank: int, name: str) -> int:
@@ -492,32 +488,30 @@ def _var_index(rank: int, name: str) -> int:
             "unknown parameter %r for rank %d" % (name, rank)) from None
 
 
-def _parse_affine(rank: int, expr: str) -> tuple[Fraction, list[Fraction]]:
+def _parse_affine(rank: int, expr: str) -> list[Fraction]:
+    """The constant of an affine right hand side, then its coefficient
+    on each parameter."""
     text = expr.replace(" ", "")
     if not text:
         raise SpecializationSyntax("empty right hand side")
     chunks = re.findall(r"[+-]?[^+-]+", text)
     if "".join(chunks) != text:
         raise SpecializationSyntax("cannot parse %r" % expr)
-    const = Fraction(0)
-    coeffs = [Fraction(0)] * (3 + rank)
+    out = [Fraction(0)] * (4 + rank)
     for chunk in chunks:
-        sign = 1
-        body = chunk
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        if not body:
-            raise SpecializationSyntax("dangling sign in %r" % expr)
-        if _CONST_RE.match(body):
-            const += sign * Fraction(body)
-            continue
-        m = _TERM_RE.match(body)
+        sign = -1 if chunk[0] == "-" else 1
+        m = _TERM_RE.match(chunk.lstrip("+-"))
         if not m:
             raise SpecializationSyntax("cannot parse term %r" % chunk)
-        coef = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-        coeffs[_var_index(rank, m.group(2))] += sign * coef
-    return const, coeffs
+        const, coef, name = m.groups()
+        try:
+            value = Fraction(const or coef or 1)
+        except ValueError:  # int() of a number past its digit limit
+            raise SpecializationSyntax(
+                "a number in term %r has more than %d digits"
+                % (chunk, sys.get_int_max_str_digits())) from None
+        out[1 + _var_index(rank, name) if name else 0] += sign * value
+    return out
 
 
 def parse_specialization(rank: int, text: str | None) -> Specialization:
@@ -528,69 +522,41 @@ def parse_specialization(rank: int, text: str | None) -> Specialization:
     parameters: signed terms that are rational constants or rational
     multiples of a parameter written like ``2*s1`` or ``1/2*v1``, every
     denominator nonzero.  An assignment may not mention its own left
-    hand side.  Assignments apply in the order given.
+    hand side.  Assignments apply in the order given: each is composed
+    into the images of the unit forms as it is read, in ``Fraction``
+    arithmetic, and the images are cleared to integers at the end.
     """
     src = (text or "").strip()
-    if not src:
-        return _compiled(rank, (), "")
-    steps: list[SpecStep] = []
-    for piece in src.split(","):
+    # the constant, then the linear part, of the image of each unit form
+    images = [[0] + [int(i == p) for p in range(3 + rank)]
+              for i in range(3 + rank)]
+    for piece in src.split(",") if src else ():
         if "=" not in piece:
             raise SpecializationSyntax(
                 "expected name=expression, got %r" % piece.strip())
         name, _, expr = piece.partition("=")
-        target = _var_index(rank, name.strip())
-        const, coeffs = _parse_affine(rank, expr)
-        if coeffs[target]:
+        target = 1 + _var_index(rank, name.strip())
+        rhs = _parse_affine(rank, expr)
+        if rhs[target]:
             raise SpecializationSyntax(
                 "assignment for %s mentions itself" % name.strip())
-        steps.append(SpecStep(target, const, tuple(coeffs)))
-    return _compiled(rank, tuple(steps), src)
-
-
-def _compiled(rank: int, steps: tuple[SpecStep, ...],
-              source: str) -> Specialization:
-    """The specialization with its steps applied, in order and in
-    ``Fraction`` arithmetic, to each unit form once, and the images
-    cleared to integers over their common denominator."""
-    images = []
-    for i in range(3 + rank):
-        vec = [Fraction(0)] * (3 + rank)
-        vec[i] = Fraction(1)
-        const = Fraction(0)
-        for step in steps:
-            c = vec[step.target]
-            if not c:
-                continue
-            vec[step.target] = Fraction(0)
-            const += c * step.const
-            for p, b in enumerate(step.coeffs):
-                if b:
-                    vec[p] += c * b
-        images.append([const] + vec)
+        for image in images:
+            c = image[target]
+            if c:
+                image[target] = 0
+                for p, b in enumerate(rhs):
+                    if b:
+                        image[p] += c * b
     d = lcm(*(x.denominator for image in images for x in image))
     columns = zip(*[[x.numerator * (d // x.denominator) for x in image]
                     for image in images])
-    return Specialization(rank, steps, source, tuple(columns), d)
+    return Specialization(rank, src, tuple(columns), d)
 
 
 def _image(spec: Specialization, form: Sequence[int]) -> list[int]:
     """D times the specialized integer form: its constant part, then its
     linear part."""
     return [sum(map(mul, form, col)) for col in spec.columns]
-
-
-def specialize_form(spec: Specialization,
-                    form: Sequence) -> tuple[Fraction, list[Fraction]]:
-    """Apply the assignments to a linear form, returning the constant
-    part and the remaining linear part."""
-    if len(form) != 3 + spec.rank:
-        raise VariableSetMismatch(
-            "form of length %d for rank %d" % (len(form), spec.rank))
-    ints, m = _cleared(form)
-    const, *vec = _image(spec, ints)
-    d = m * spec.denominator
-    return Fraction(const, d), [Fraction(x, d) for x in vec]
 
 
 def specialize(wf: WeightFunction, spec: Specialization | None,
@@ -617,8 +583,8 @@ def specialize(wf: WeightFunction, spec: Specialization | None,
             "specialization of rank %d on a weight function of rank %d"
             % (spec.rank, wf.rank))
     where = " in %s" % context if context else ""
-    top, nums = _specialize_forms(spec, wf.num, False, where)
-    bottom, dens = _specialize_forms(spec, wf.den, True, where)
+    top, nums = _specialized_factors(spec, wf.num, False, where)
+    bottom, dens = _specialized_factors(spec, wf.den, True, where)
     shift = len(wf.den) - len(wf.num)
     if shift > 0:
         top *= spec.denominator ** shift
@@ -629,7 +595,7 @@ def specialize(wf: WeightFunction, spec: Specialization | None,
     return weight_function(wf.rank, scalar, nums, dens, context)
 
 
-def _specialize_forms(spec: Specialization, forms: Sequence[WeightForm],
+def _specialized_factors(spec: Specialization, forms: Sequence[WeightForm],
                       den: bool, where: str) -> tuple[int, list[list[int]]]:
     """Specialize the numerator (or, with ``den``, the denominator)
     factors, each scaled by D: the linear ones are kept, and the

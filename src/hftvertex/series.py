@@ -7,7 +7,8 @@ values: canonical tuples of weight functions, grouped by their factor
 data.  Exact equality of two weight sums is decided in two exact steps:
 integer evaluation at a few fixed points, where differing values prove
 the sums unequal, then, only when every point agrees, expansion of the
-difference over the least common denominator of its terms.
+difference over the least common denominator of its terms, in integers:
+sparse dicts from exponent vectors to integer coefficients.
 
 At a fixed point the frame splits into r summands, and a contribution
 is the product of the summands' shares.  So all three series here are
@@ -34,8 +35,8 @@ from fractions import Fraction
 from math import lcm
 from typing import TypeVar
 
-from .chars import HftError, LaurentPoly, VariableSet
-from .fixedpoints import BoxTuple, InvalidModel
+from .chars import HftError, VariableSet
+from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
                        _wf_text, contribution, specialize, value_parts,
                        weight_function)
@@ -76,14 +77,6 @@ def ws_unit(rank: int) -> WeightSum:
     return (weight_function(rank, 1),)
 
 
-def ws_add(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:
-    return weight_sum(rank, list(a) + list(b))
-
-
-def ws_scale(rank: int, a: WeightSum, value: Fraction | int) -> WeightSum:
-    return weight_sum(rank, [wf.scaled(value) for wf in a])
-
-
 def ws_text(a: WeightSum) -> str:
     if not a:
         return "0"
@@ -104,16 +97,6 @@ def ws_to_json(a: WeightSum):
     if len(a) == 1:
         return a[0].to_json()
     return [wf.to_json() for wf in a]
-
-
-def _form_poly(vars: VariableSet, form: WeightForm) -> LaurentPoly:
-    terms = {}
-    for i, c in enumerate(form):
-        if c:
-            e = [0] * vars.nvars
-            e[i] = 1
-            terms[tuple(e)] = Fraction(c)
-    return LaurentPoly(vars, terms)
 
 
 # One evaluation point per base: its entries are the powers base ** 1,
@@ -137,10 +120,11 @@ def eq_weight_sum(rank: int, a: WeightSum, b: WeightSum) -> bool:
     vanishes.  Values that differ at a point prove the sums unequal;
     this decides almost every unequal pair at a cost linear in the
     number of factors.  When every point agrees, the difference is put
-    over the least common denominator of all terms and the numerator,
-    a polynomial in the parameters, is expanded and compared with zero.
-    Forms are canonical and primitive, so that denominator is the
-    multiset maximum of the terms' denominators; the expansion grows
+    over the least common denominator of all terms, the scalars are
+    cleared by the lcm of their denominators, and the numerator, an
+    integer polynomial in the parameters, is expanded and compared with
+    zero.  Forms are canonical and primitive, so that denominator is
+    the multiset maximum of the terms' denominators; the expansion grows
     with its factor count, not with the product of all factor counts.
     """
     if a == b:
@@ -153,15 +137,30 @@ def eq_weight_sum(rank: int, a: WeightSum, b: WeightSum) -> bool:
     lcd: Counter = Counter()
     for wf in (*a, *b):
         lcd |= Counter(wf.den)
-    vars = VariableSet(rank)
-    total = LaurentPoly.zero(vars)
-    for sign, terms in ((1, a), (-1, b)):
+    scale = lcm(*(wf.scalar.denominator for wf in (*a, *b)))
+    total: Counter = Counter()
+    for sign, terms in ((scale, a), (-scale, b)):
         for wf in terms:
-            part = LaurentPoly.constant(vars, sign * wf.scalar)
-            for f in (*wf.num, *(lcd - Counter(wf.den)).elements()):
-                part = part * _form_poly(vars, f)
-            total = total + part
-    return total.is_zero()
+            coeff = wf.scalar.numerator * (sign // wf.scalar.denominator)
+            rest = (lcd - Counter(wf.den)).elements()
+            total.update(_expanded(3 + rank, coeff, (*wf.num, *rest)))
+    return not any(total.values())
+
+
+def _expanded(nvars: int, coeff: int, forms: Sequence[WeightForm]
+              ) -> dict[tuple[int, ...], int]:
+    """The integer ``coeff`` times the product of the integer linear
+    forms, expanded into a dict from exponent vectors to integers."""
+    out = {(0,) * nvars: coeff}
+    for f in forms:
+        part: dict[tuple[int, ...], int] = {}
+        for mono, c in out.items():
+            for i, x in enumerate(f):
+                if x:
+                    key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                    part[key] = part.get(key, 0) + c * x
+        out = part
+    return out
 
 
 @dataclass(frozen=True)
@@ -394,8 +393,8 @@ def compare_rows(rank: int, twist: int, order: int,
             "closed_form": f,
             "character_equals_paper": eq_weight_sum(rank, c, p),
             "character_equals_closed_form": eq_weight_sum(rank, c, f),
-            "difference_from_reference": ws_add(
-                rank, c, ws_scale(rank, ref[k], -1)),
+            "difference_from_reference": weight_sum(
+                rank, [*c, *(wf.scaled(-1) for wf in ref[k])]),
         })
     return rows
 
@@ -417,7 +416,7 @@ def count_series(data: Mapping) -> CountSeries:
         if not bad:
             try:
                 m = int(key)
-                c = Fraction(value)
+                c = _rational(value)
             except (ValueError, TypeError, ZeroDivisionError):
                 bad = True
         if bad:

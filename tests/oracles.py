@@ -34,9 +34,10 @@ The first canonicalizer of weight functions is kept too:
 arithmetic, one form at a time, and ``form_text_fraction`` renders a form
 through ``Fraction`` coefficients.  The package builds the form in
 integers and prints the coefficients it is given.  So is the first
-specialization: ``specialize_stepwise`` applies the assignments to each
-factor one ``Fraction`` step at a time, where the package compiles them
-once into integer images of the unit forms.
+specialization: ``specialize_stepwise`` reads the assignments again from
+the source text and applies them to each factor one ``Fraction`` step at
+a time, where the package composes them into integer images of the unit
+forms as it parses them.
 
 Finally it holds the tools only the tests need: ``eq_rational``, equality
 of values of rational characters; ``poly_substituted`` and
@@ -65,9 +66,9 @@ from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
                                    InvalidModel, compositions, hilbert_poly)
 from hftvertex.localize import (AffineWeight, DivisionByZero, Specialization,
                                 WeightForm, WeightFunction, ZeroWeight,
-                                _cross_shifts, contribution, form_text,
-                                param_names, specialize, weight_function,
-                                weights_of)
+                                _cross_shifts, _parse_affine, _var_index,
+                                contribution, form_text, param_names,
+                                specialize, weight_function, weights_of)
 from hftvertex.series import (BinomialIneligible, VertexSeries, WeightSum,
                               binomial_series, eq_weight_sum, weight_sum,
                               ws_unit)
@@ -564,17 +565,21 @@ def form_text_fraction(rank: int, form) -> str:
 
 
 def _specialize_form_stepwise(spec, form) -> tuple[Fraction, list[Fraction]]:
-    """Apply the steps of a specialization to a linear form one at a
-    time: the constant part and the remaining linear part."""
+    """Apply the assignments of a specialization, read again from its
+    source text, to a linear form one at a time: the constant part and
+    the remaining linear part."""
     vec = [Fraction(x) for x in form]
     const = Fraction(0)
-    for step in spec.steps:
-        c = vec[step.target]
+    for piece in spec.source.split(",") if spec.source else ():
+        name, _, expr = piece.partition("=")
+        target = _var_index(spec.rank, name.strip())
+        step_const, *coeffs = _parse_affine(spec.rank, expr)
+        c = vec[target]
         if not c:
             continue
-        vec[step.target] = Fraction(0)
-        const += c * step.const
-        for i, b in enumerate(step.coeffs):
+        vec[target] = Fraction(0)
+        const += c * step_const
+        for i, b in enumerate(coeffs):
             if b:
                 vec[i] += c * b
     return const, vec

@@ -1,6 +1,7 @@
 """End to end tests of the command line interface."""
 
 import json
+import time
 
 import pytest
 from hypothesis import example, given
@@ -335,6 +336,65 @@ def test_coefficient_past_the_digit_limit_exits_one(tmp_path, capsys, fmt):
                                   "--rank", "2", "--format", fmt])
     assert code == 1 and out == ""
     assert err == "error: coefficient of q^0 has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("term", ["9" * 5000, "1/%s*s1" % ("9" * 5000)],
+                         ids=["constant", "coefficient"])
+def test_specialize_number_past_the_digit_limit_exits_two(capsys, term):
+    code, out, err = run(capsys, [
+        "vertex", "--order", "1", "--specialize", "s3=" + term])
+    assert code == 2 and out == ""
+    assert err == ("error: a number in term %r has more than 4300 digits\n"
+                   % term)
+
+
+_HUGE = "1e3000000"
+
+
+def test_huge_exponent_strings_exit_two_at_once(tmp_path, capsys):
+    # Fraction("1e3000000") builds 10**3000000 before any size check
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"0": _HUGE}))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(
+        {"rank": 1, "p_total": ["2", _HUGE], "p_image": ["1", "1"],
+         "subobjects": []}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(
+        {"rank": 1, "p_total": ["1", "1"], "p_image": ["1", "1"],
+         "subobjects": []}))
+    cases = [
+        (["partition", "--p-file", str(counts), "--rank", "2"],
+         "error: bad count entry"),
+        (["stability", "--model-file", str(model), "--q-poly", "0,0,1"],
+         "error: bad model file"),
+        (["stability", "--model-file", str(good),
+          "--q-poly", "0,0," + _HUGE], "error: bad q polynomial"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith(message), argv
+
+
+def test_small_rational_strings_are_still_read(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"1": "3/2", "2": "1.5", "3": "2e3"}))
+    code, out, _ = run(capsys, ["partition", "--p-file", str(counts),
+                                "--order", "3"])
+    assert code == 0
+    assert out == "q^1: 3/2\nq^2: 3/2\nq^3: 2000\n"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(
+        {"rank": 1, "p_total": ["3/2", "2e3"], "p_image": ["1.5", "1"],
+         "subobjects": []}))
+    code, out, _ = run(capsys, ["stability", "--model-file", str(model),
+                                "--q-poly", "3/2,1.5,2e3", "--format",
+                                "json"])
+    assert code == 0
+    assert json.loads(out)["stable"] is True
 
 
 # Lists of small ints recur, at one depth and at several, as the weight

@@ -1,19 +1,22 @@
 """Exact equality of weight sums and exact evaluation of weight functions.
 
 ``series.eq_weight_sum`` first tries to disprove equality by integer
-evaluation at a few fixed points and only then expands over the least
-common denominator.  ``WeightFunction.evaluate`` clears the point's
-denominators once and works in integers.  Both are checked here against
-the slow roads kept in ``tests/oracles.py``, against sympy where it is
-installed, and on sums built so that evaluation cannot decide them.
-``weight_sum`` builds its terms without canonicalizing them again; a
-property checks that they are already canonical.
+evaluation at a few fixed points and only then expands, in integers,
+over the least common denominator.  ``WeightFunction.evaluate`` clears
+the point's denominators once and works in integers.  Both are checked
+here against the slow roads kept in ``tests/oracles.py``, against sympy
+where it is installed, and on sums built so that evaluation cannot
+decide them: sums split into equal but non-identical ones, whose
+equality only the integer expansion proves.  ``weight_sum`` builds its
+terms without canonicalizing them again; a property checks that they
+are already canonical.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hftvertex.localize import (DivisionByZero, param_names,
@@ -157,13 +160,19 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
+def _vanishing_form(rank):
+    """A nonzero integer form that vanishes at every evaluation point:
+    the points are three, so the signed 3x3 minors of their first four
+    coordinates give one, with zeros after."""
+    points = [p[:4] for p in _evaluation_points(rank)]
+    return tuple([(-1) ** i * _det3([p[:i] + p[i + 1:] for p in points])
+                  for i in range(4)] + [0] * (rank - 1))
+
+
 def test_symbolic_step_decides_when_every_point_is_singular():
     points = _evaluation_points(1)
     assert len(points) == 3 and len(points[0]) == 4
-    # three points in four variables: the signed 3x3 minors give an
-    # integer form that vanishes at all of them
-    x = [(-1) ** i * _det3([p[:i] + p[i + 1:] for p in points])
-         for i in range(4)]
+    x = _vanishing_form(1)
     assert any(x)
     assert all(sum(a * b for a, b in zip(x, p)) == 0 for p in points)
     y = (0, 0, 0, 1)
@@ -214,3 +223,67 @@ def test_higher_rank_verdict_pattern_within_budget(rank, order):
     assert elapsed < budget, (
         "compare --rank %d --order %d exceeded its %.0fs budget: %.3fs"
         % (rank, order, budget, elapsed))
+
+
+@st.composite
+def _split_pairs(draw):
+    """A weight sum of rank at most three, a second sum, and whether the
+    two are equal.
+
+    The second sum splits one term s*N/D of the first into s*N*f/(D*g)
+    plus c*s*N*(g-f)/(D*g), for forms f and g with g - f nonzero, g
+    perhaps a factor of D already.  With c = 1 the sums are equal and
+    not identical, so they always reach the integer expansion; any other
+    c makes them unequal.  Both sums may carry the extra term 1/x^2.
+    When x vanishes at every evaluation point, no point decides even an
+    unequal pair.  When x is g, the common denominator holds g^2, and
+    the terms that differ between the sums are expanded with g and with
+    g^2."""
+    rank = draw(st.integers(1, 3))
+    a = weight_sum(rank, draw(st.lists(weight_functions(rank, 2),
+                                       min_size=1, max_size=3)))
+    assume(a)
+    i = draw(st.integers(0, len(a) - 1))
+    wf = a[i]
+    f = draw(_forms(rank))
+    forms = _forms(rank)
+    if wf.den:
+        # g may repeat a denominator factor of the term
+        forms |= st.sampled_from(wf.den)
+    g = draw(forms.filter(lambda g: g != f))
+    h = [y - x for x, y in zip(f, g)]
+    equal = draw(st.booleans())
+    c = 1 if equal else draw(st.sampled_from([2, -1, Fraction(1, 2)]))
+    b = weight_sum(rank, [
+        *a[:i], *a[i + 1:],
+        weight_function(rank, wf.scalar, [*wf.num, f], [*wf.den, g]),
+        weight_function(rank, c * wf.scalar, [*wf.num, h], [*wf.den, g])])
+    assume(a != b)
+    x = draw(st.sampled_from([None, _vanishing_form(rank), g]))
+    if x:
+        extra = weight_function(rank, 1, [], [x, x])
+        a = weight_sum(rank, [*a, extra])
+        b = weight_sum(rank, [*b, extra])
+    return rank, a, b, equal
+
+
+@settings(deadline=None)
+@given(_split_pairs())
+def test_integer_expansion_matches_the_ring_on_split_sums(pair):
+    rank, a, b, equal = pair
+    assert eq_weight_sum(rank, a, b) == equal
+    assert eq_weight_sum(rank, b, a) == equal
+    # the oracle expands over the product of every denominator factor,
+    # which takes seconds past a few of them
+    if sum(len(wf.den) for wf in (*a, *b)) <= 8:
+        assert eq_weight_sum_expanded(rank, a, b) == equal
+
+
+@settings(deadline=None, max_examples=15)
+@given(_split_pairs())
+def test_integer_expansion_matches_sympy_on_split_sums(pair):
+    sympy = pytest.importorskip("sympy")
+    rank, a, b, equal = pair
+    diff = _sympy_value(sympy, rank, a) - _sympy_value(sympy, rank, b)
+    assert (sympy.cancel(diff) == 0) == equal
+    assert eq_weight_sum(rank, a, b) == equal

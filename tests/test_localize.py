@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hftvertex.localize import (AffineWeight, DivisionByZero,
                                 SpecializationSyntax, WeightFunction,
                                 ZeroWeight, contribution, form_text,
                                 param_names, parse_specialization, specialize,
-                                specialize_form, weight_function, weights_of)
+                                weight_function, weights_of)
 from oracles import euler_of_minus, specialize_stepwise
 
 V1 = VariableSet(1)
@@ -182,13 +183,21 @@ def test_paper_mode_denominator_can_vanish():
         contribution(V1, BoxTuple((1,), (0,)), -1, "paper")
 
 
+def _image(spec, form):
+    """The constant part, then the linear part, of the specialized form,
+    read off the compiled columns."""
+    return [Fraction(sum(map(mul, form, col)), spec.denominator)
+            for col in spec.columns]
+
+
 def test_parse_specialization():
     spec = parse_specialization(1, "s3=-s1-s2, v1=1")
-    assert len(spec.steps) == 2
-    assert spec.steps[0].target == 2
-    assert spec.steps[0].coeffs == (Fraction(-1), Fraction(-1),
-                                    Fraction(0), Fraction(0))
-    assert spec.steps[1].const == 1
+    assert spec.source == "s3=-s1-s2, v1=1"
+    assert spec.denominator == 1
+    # s3 goes to -s1 - s2 and v1 to the constant 1
+    assert _image(spec, (0, 0, 1, 0)) == [0, -1, -1, 0, 0]
+    assert _image(spec, (0, 0, 0, 1)) == [1, 0, 0, 0, 0]
+    assert _image(spec, (1, 1, 0, 0)) == [0, 1, 1, 0, 0]
     assert parse_specialization(1, None).is_trivial()
     assert parse_specialization(1, "  ").is_trivial()
 
@@ -209,15 +218,21 @@ def test_parse_specialization_errors():
             parse_specialization(1, text)
 
 
-def test_specialize_form_applies_in_order():
+def test_specialization_applies_in_order():
     spec = parse_specialization(1, "s3=-s1-s2,s2=2*s1")
-    const, vec = specialize_form(spec, (0, 0, 1, 0))
-    assert const == 0
-    assert vec == [Fraction(-3), Fraction(0), Fraction(0), Fraction(0)]
-    spec = parse_specialization(1, "s1=1/2*s2-1/3*v1,s2=-3*s3+2/3")
-    const, vec = specialize_form(spec, (6, 1, 0, 0))
-    assert const == Fraction(8, 3)
-    assert vec == [0, 0, -12, -2]
+    assert _image(spec, (0, 0, 1, 0)) == [0, -3, 0, 0, 0]
+    wf = weight_function(1, 1, [(0, 0, 1, 0)])
+    assert specialize(wf, spec) == weight_function(1, 1, [(-3, 0, 0, 0)])
+    text = "s1=1/2*s2-1/3*v1,s2=-3*s3+2/3"
+    spec = parse_specialization(1, text)
+    assert spec.denominator == 6
+    assert _image(spec, (6, 1, 0, 0)) == [Fraction(8, 3), 0, 0, -12, -2]
+    wf = weight_function(1, 1, [(6, 1, 0, 0)])
+    with pytest.raises(AffineWeight, match="6\\*s1 \\+ s2"):
+        specialize(wf, spec)
+    # with the linear part sent to zero, only the constant is left
+    spec = parse_specialization(1, text + ",s3=0,v1=0")
+    assert specialize(wf, spec) == weight_function(1, Fraction(8, 3))
 
 
 def test_specialize_weight_function():

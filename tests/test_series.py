@@ -15,8 +15,8 @@ from hftvertex.series import (BinomialIneligible, InvalidCounts,
                               assemble_vertex, binomial_series,
                               closed_form_series, compare_rows, count_series,
                               eq_weight_sum, hft_partition, one_leg_exponent,
-                              power, reference_series, weight_sum, ws_add,
-                              ws_scale, ws_text, ws_to_json, ws_unit)
+                              power, reference_series, weight_sum, ws_text,
+                              ws_to_json, ws_unit)
 from oracles import binomiality_test, brute_partition, leg_strata, ws_mul
 
 
@@ -81,9 +81,9 @@ def test_ws_to_json_shapes():
 
 def test_ws_arithmetic():
     a = (wf1(1, [(1, 0, 0, 0)], [(0, 1, 0, 0)]),)
-    twice = ws_add(1, a, a)
+    twice = weight_sum(1, [*a, *a])
     assert twice == (wf1(2, [(1, 0, 0, 0)], [(0, 1, 0, 0)]),)
-    assert ws_scale(1, twice, Fraction(1, 2)) == a
+    assert weight_sum(1, [wf.scaled(Fraction(1, 2)) for wf in twice]) == a
     square = ws_mul(1, a, a)
     assert square == (wf1(1, [(1, 0, 0, 0), (1, 0, 0, 0)],
                           [(0, 1, 0, 0), (0, 1, 0, 0)]),)
@@ -138,7 +138,8 @@ def test_binomial_series_form_exponent():
     rows = binomial_series(e, 2)
     assert rows[1] == e
     shifted = wf1(1, [(-1, 1, 1, 0)], [(1, 0, 0, 0)])
-    expected = ws_scale(1, ws_mul(1, (e,), (shifted,)), Fraction(1, 2))
+    expected = weight_sum(1, [wf.scaled(Fraction(1, 2))
+                              for wf in ws_mul(1, (e,), (shifted,))])
     assert eq_weight_sum(1, weight_sum(1, [rows[2]]), expected)
 
 
@@ -205,7 +206,7 @@ def test_power():
     a = (wf1(1, [(1, 0, 0, 0)], [(0, 1, 0, 0)]),)
     rows = power(1, [ws_unit(1), a], 2, 2)
     assert rows[0] == ws_unit(1)
-    assert rows[1] == ws_scale(1, a, 2)
+    assert rows[1] == weight_sum(1, [wf.scaled(2) for wf in a])
     assert rows[2] == ws_mul(1, a, a)
     rows = power(1, [ws_unit(1), a], 0, 2)
     assert rows == [ws_unit(1), (), ()]
@@ -225,7 +226,7 @@ def brute_power(rank, coefficients, exponent, order):
         term = ws_unit(rank)
         for j in combo:
             term = ws_mul(rank, term, coefficients[j])
-        out[degree] = ws_add(rank, out[degree], term)
+        out[degree] = weight_sum(rank, [*out[degree], *term])
     return out
 
 

@@ -31,18 +31,17 @@ PUBLIC = {
         "rank_coefficient", "tau_stability_check"},
     "hftvertex.localize": {
         "AffineWeight", "DivisionByZero", "ModeUnavailable",
-        "NonIntegerMultiplicity", "SpecStep", "Specialization",
-        "SpecializationSyntax", "WeightForm", "WeightFunction", "ZeroWeight",
-        "contribution", "form_text", "param_names", "parse_specialization",
-        "specialize", "specialize_form", "value_parts", "weight_function",
-        "weights_of"},
+        "NonIntegerMultiplicity", "Specialization", "SpecializationSyntax",
+        "WeightForm", "WeightFunction", "ZeroWeight", "contribution",
+        "form_text", "param_names", "parse_specialization", "specialize",
+        "value_parts", "weight_function", "weights_of"},
     "hftvertex.series": {
         "BinomialIneligible", "CountSeries", "InvalidCounts", "VertexSeries",
         "WeightSum", "assemble_vertex", "binomial_series",
         "closed_form_series", "compare_rows", "count_series",
         "eq_weight_sum", "hft_partition", "one_leg_exponent", "power",
-        "reference_series", "weight_sum", "ws_add", "ws_scale", "ws_text",
-        "ws_to_json", "ws_unit"},
+        "reference_series", "weight_sum", "ws_text", "ws_to_json",
+        "ws_unit"},
     "hftvertex.vertexchar": {
         "alpha_block", "beta_block", "frame_sum", "frame_sum_inv",
         "geometric_sum", "total_character"},
