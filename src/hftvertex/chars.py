@@ -10,15 +10,12 @@ Exponents may be negative.  A ``LaurentPoly`` is a finite sum of such
 monomials with nonzero ``Fraction`` coefficients, stored sparsely as a
 dict from exponent tuple to coefficient.
 
-Fixed point characters are built from quotients whose denominators are
-products of factors ``1 - m`` for nonconstant monomials ``m``.  A
-``RationalCharacter`` keeps the numerator as a ``LaurentPoly`` and the
-denominator as an explicit multiset of such monomials.  Denominators are
-never expanded, and cancellation is done by exact division, with no
-floating point and no series truncation anywhere.  The package only adds
-and multiplies such quotients and reduces their sums to Laurent
-polynomials; deciding equality of values and substituting monomials for
-variables are left to the test oracles.
+The package builds fixed point characters as finite sums, with
+``LaurentPoly`` addition and multiplication alone.  The quotient ring
+below stays for the test oracles and for the benchmark's tracer, which
+binds its names.  A ``RationalCharacter`` is a quotient
+``num / prod_i (1 - m_i)`` by nonconstant monomials ``m_i``, kept
+unexpanded, and cancels factors by exact division.
 """
 
 from __future__ import annotations

@@ -414,8 +414,8 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
     """Localization contribution of one fixed point.
 
     Mode ``character`` derives the weights from the closed form
-    character of the fixed point and takes the Euler class of its
-    negative.  Mode ``paper`` evaluates the printed per summand factor
+    character of the fixed point, a finite sum of monomials built with
+    no division, and takes the Euler class of its negative.  Mode ``paper`` evaluates the printed per summand factor
     formulas instead; the two modes agree in rank one at twist zero and
     are both kept so their outputs can be compared elsewhere.
 
@@ -522,7 +522,9 @@ def parse_specialization(rank: int, text: str | None) -> Specialization:
     parameters: signed terms that are rational constants or rational
     multiples of a parameter written like ``2*s1`` or ``1/2*v1``, every
     denominator nonzero.  An assignment may not mention its own left
-    hand side.  Assignments apply in the order given: each is composed
+    hand side, and no parameter may be assigned twice, since the first
+    assignment has already substituted it away.  Assignments apply in
+    the order given: each is composed
     into the images of the unit forms as it is read, in ``Fraction``
     arithmetic, and the images are cleared to integers at the end.
     """
@@ -530,12 +532,17 @@ def parse_specialization(rank: int, text: str | None) -> Specialization:
     # the constant, then the linear part, of the image of each unit form
     images = [[0] + [int(i == p) for p in range(3 + rank)]
               for i in range(3 + rank)]
+    assigned: set[int] = set()
     for piece in src.split(",") if src else ():
         if "=" not in piece:
             raise SpecializationSyntax(
                 "expected name=expression, got %r" % piece.strip())
         name, _, expr = piece.partition("=")
         target = 1 + _var_index(rank, name.strip())
+        if target in assigned:
+            raise SpecializationSyntax(
+                "%s is assigned more than once" % name.strip())
+        assigned.add(target)
         rhs = _parse_affine(rank, expr)
         if rhs[target]:
             raise SpecializationSyntax(

@@ -13,6 +13,13 @@ rank one the two agree once the raw sum of the empty configuration is
 subtracted; for higher rank they agree on the frame degree zero part.
 The tests check both statements, and the edge identities, against it.
 
+The quotient road to the closed form is kept as well:
+``total_character_quotient`` writes each geometric block as a quotient
+``(first - first*ratio^n)/(1 - ratio)`` (``geometric_quotient``), adds
+the blocks in the ring of ``RationalCharacter``, and divides the
+denominators back out by exact division.  The package builds the same
+blocks as finite sums of monomials, with no quotient and no division.
+
 It also keeps the first, slow roads to two exact values, so the fast
 ones can be checked against them: ``eq_weight_sum_expanded`` decides
 equality of two weight sums by full expansion over the product of all
@@ -113,6 +120,43 @@ def frame_pair_sum(vars: VariableSet) -> LaurentPoly:
     """Product of frame and dual frame characters; its constant term is
     the rank."""
     return frame_sum(vars) * frame_sum_inv(vars)
+
+
+def geometric_quotient(vars: VariableSet, first: Monomial, ratio: Monomial,
+                       count: int) -> RationalCharacter:
+    """The finite sum first*(1 + ratio + ... + ratio^(count-1)) written
+    as (first - first*ratio^count)/(1 - ratio); a unit ratio raises
+    ``ZeroDenominator``."""
+    last = tuple(a + count * b for a, b in zip(first, ratio))
+    return RationalCharacter(vars, LaurentPoly.monomial(vars, first)
+                             - LaurentPoly.monomial(vars, last),
+                             (tuple(ratio),))
+
+
+def total_character_quotient(vars: VariableSet, box: BoxTuple,
+                             twist: int) -> LaurentPoly:
+    """The closed form character of a fixed point on the quotient road:
+    per frame summand with boxes, the two chart blocks as quotients of
+    geometric sums times the frame characters, all added as rational
+    characters, and the sum reduced by exact division."""
+    sw, swi = frame_sum(vars), frame_sum_inv(vars)
+    acc = RationalCharacter.constant(vars, 0)
+    for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta)):
+        w = [0] * j + [1]
+        dual = [0] * j + [-1]
+        if alpha:
+            acc = acc + (geometric_quotient(
+                vars, vars.mono(t1=-twist - 1, w=w), vars.mono(t1=-1),
+                alpha) * swi - geometric_quotient(
+                vars, vars.mono(t1=twist, t2=-1, t3=-1, w=dual),
+                vars.mono(t1=1), alpha) * sw)
+        if beta:
+            acc = acc + (geometric_quotient(
+                vars, vars.mono(t1=1, w=w), vars.mono(t1=1), beta) * swi
+                - geometric_quotient(
+                vars, vars.mono(t1=-2, t2=-1, t3=-1, w=dual),
+                vars.mono(t1=-1), beta) * sw)
+    return acc.reduced()
 
 
 def _leg(vars: VariableSet, counts: tuple[int, ...],

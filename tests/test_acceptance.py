@@ -23,7 +23,7 @@ from hftvertex.series import (assemble_vertex, compare_rows,
 from hftvertex.vertexchar import total_character
 from oracles import (binomiality_test, brute_partition, char_substituted,
                      edge_g_local, eq_rational, frame_part, leg_strata,
-                     poly_substituted)
+                     poly_substituted, total_character_quotient)
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)
@@ -160,8 +160,9 @@ def test_criterion_05_total_characters_reduce_exactly():
         for rank, vars, box, twist in _grid():
             if twist == 0:
                 boxes += 1
-            poly = total_character(vars, box, twist)
-            assert poly is not None
+            # the quotient road divides exactly, to the finite sum
+            assert (total_character_quotient(vars, box, twist)
+                    == total_character(vars, box, twist))
         assert boxes == 609
     _check(5, "every total character on the rank <= 3, total <= 5, "
               "twist <= 3 grid reduces to a Laurent polynomial", 10.0, body)

@@ -348,6 +348,15 @@ def test_specialize_number_past_the_digit_limit_exits_two(capsys, term):
                    % term)
 
 
+def test_repeated_specialize_target_exits_two(capsys):
+    # the first assignment substitutes s1 away, so the second cannot act
+    for sub in ("vertex", "compare"):
+        code, out, err = run(capsys, [
+            sub, "--order", "1", "--specialize", "s1=1,s1=2"])
+        assert code == 2 and out == ""
+        assert err == "error: s1 is assigned more than once\n"
+
+
 _HUGE = "1e3000000"
 
 

@@ -218,6 +218,18 @@ def test_parse_specialization_errors():
             parse_specialization(1, text)
 
 
+def test_parse_specialization_refuses_a_repeated_target():
+    # the first assignment substitutes its target away, so a second one
+    # would act on nothing
+    for text in ("s1=1,s1=2", "s1=s2, v1=0, s1 =s3", "v2=v1,v2=v1"):
+        with pytest.raises(SpecializationSyntax,
+                           match="is assigned more than once"):
+            parse_specialization(2, text)
+    # a target may still appear on a later right hand side
+    spec = parse_specialization(1, "s1=s2,s2=2*s3")
+    assert _image(spec, (1, 0, 0, 0)) == [0, 0, 0, 2, 0]
+
+
 def test_specialization_applies_in_order():
     spec = parse_specialization(1, "s3=-s1-s2,s2=2*s1")
     assert _image(spec, (0, 0, 1, 0)) == [0, -3, 0, 0, 0]
@@ -306,13 +318,21 @@ def test_specialize_commutes_with_multiplication():
 _COEFFS = (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2)
 
 
+def _targets(text):
+    """The parameters an assignment list assigns."""
+    return {piece.partition("=")[0].strip() for piece in text.split(",")}
+
+
 @st.composite
-def _assignments(draw, rank):
-    """A constant free assignment list such as ``v1=s3,s2=-1/2*s1+v1``."""
+def _assignments(draw, rank, taken=()):
+    """A constant free assignment list such as ``v1=s3,s2=-1/2*s1+v1``,
+    whose targets are distinct and not in ``taken``."""
     names = param_names(rank)
+    targets = draw(st.lists(st.sampled_from(
+        [n for n in names if n not in taken]), min_size=1, max_size=2,
+        unique=True))
     pieces = []
-    for _ in range(draw(st.integers(1, 2))):
-        target = draw(st.sampled_from(names))
+    for target in targets:
         used = draw(st.lists(st.sampled_from(
             [n for n in names if n != target]), min_size=1, max_size=3,
             unique=True))
@@ -339,14 +359,21 @@ def test_specializations_compose(data):
     """Specializing by A and then by B equals specializing once by the
     joined list "A,B", and both refuse with the same error class.
 
+    The targets are distinct within A and B and across them, since a
+    list that assigns one parameter twice is refused.
+
     One case is exempt: the two steps may succeed where the joined list
-    refuses.  The first step canonicalizes, so a numerator and a
-    denominator factor that A makes proportional cancel into a
+    refuses, and the joined list is right to.  A specialization applies
+    to the function on the whole subspace at once (README, "Joined
+    specializations").  The first step canonicalizes, so a numerator
+    and a denominator factor that A makes proportional cancel into a
     constant, and B cannot kill them any more; the joined list
     specializes every factor of the contribution through A and B and
     refuses the 0/0.  At rank one, box ((0,), (1,)), twist 0, the
-    contribution is -(2*s1 + s2 + s3)/s1, ``s2=-s3,s1=s3-v1`` makes it
-    -2, and ``v1=s3`` after it keeps -2, while the joined list raises
+    contribution is -(2*s1 + s2 + s3)/s1, which is 0/0 on the line
+    s1=0, s2=-s3, v1=s3: ``s2=-s3,s1=s3-v1`` makes it -2, and ``v1=s3``
+    after it keeps -2, while ``s2=-s3+s1,v1=s3`` makes it -3, so the
+    function has no value on that line, and the joined list raises
     ``ZeroWeight``.  The converse holds: what the joined list
     specializes, the two steps specialize to the same value.
     """
@@ -355,7 +382,7 @@ def test_specializations_compose(data):
         enumerate_fixed(rank, data.draw(st.integers(1, 3)))))
     wf = contribution(VariableSet(rank), box, data.draw(st.integers(0, 2)))
     a = data.draw(_assignments(rank))
-    b = data.draw(_assignments(rank))
+    b = data.draw(_assignments(rank, _targets(a)))
     stepwise = _outcome(lambda: specialize(
         specialize(wf, parse_specialization(rank, a)),
         parse_specialization(rank, b)))
@@ -370,13 +397,16 @@ _RATIONALS = ("1", "2", "1/2", "1/3", "2/3", "3/2")
 
 
 @st.composite
-def _affine_assignments(draw, rank):
+def _affine_assignments(draw, rank, taken=()):
     """An assignment list with signed rational coefficients and
-    constants, such as ``s1=1/2*s2-1/3*v1,v1=2/3``."""
+    constants, such as ``s1=1/2*s2-1/3*v1,v1=2/3``, whose targets are
+    distinct and not in ``taken``."""
     names = param_names(rank)
+    targets = draw(st.lists(st.sampled_from(
+        [n for n in names if n not in taken]), min_size=1, max_size=3,
+        unique=True))
     pieces = []
-    for _ in range(draw(st.integers(1, 3))):
-        target = draw(st.sampled_from(names))
+    for target in targets:
         used = draw(st.lists(st.sampled_from(
             [n for n in names if n != target]), max_size=3, unique=True))
         terms = ["%s*%s" % (draw(st.sampled_from(_RATIONALS)), name)
@@ -408,7 +438,6 @@ def test_compiled_specialize_matches_stepwise_oracle(data):
         Fraction, st.integers(-6, 6), st.integers(1, 4))),
         data.draw(st.lists(forms, max_size=4)),
         data.draw(st.lists(forms, max_size=4)))
-    text = data.draw(_affine_assignments(rank))
     factors = wf.num + wf.den
     if factors and data.draw(st.booleans()):
         # an assignment that sends one factor to zero, placed anywhere;
@@ -419,9 +448,12 @@ def test_compiled_specialize_matches_stepwise_oracle(data):
             "%+d/%d*%s" % (-c, f[t], name)
             for i, (c, name) in enumerate(zip(f, param_names(rank)))
             if c and i != t) or "0")
+        text = data.draw(_affine_assignments(rank, _targets(kill)))
         pieces = text.split(",")
         pieces.insert(data.draw(st.integers(0, len(pieces))), kill)
         text = ",".join(pieces)
+    else:
+        text = data.draw(_affine_assignments(rank))
     spec = parse_specialization(rank, text)
     context = data.draw(st.sampled_from([None, "ctx (1,)"]))
     got = _value_or_error(lambda: specialize(wf, spec, context))

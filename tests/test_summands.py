@@ -16,8 +16,7 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hftvertex.chars import (HftError, LaurentPoly, RationalCharacter,
-                             VariableSet)
+from hftvertex.chars import HftError, LaurentPoly, VariableSet
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
 from hftvertex.localize import (contribution, parse_specialization,
                                 specialize, weight_function)
@@ -138,7 +137,7 @@ def test_contribution_matches_whole_character_on_random_boxes(data):
 def test_empty_blocks_are_zero():
     for rank in (1, 2, 3):
         vars = VARS[rank]
-        zero = RationalCharacter.constant(vars, 0)
+        zero = LaurentPoly.zero(vars)
         for j in range(rank):
             assert beta_block(vars, j, 0) == zero
             for twist in range(4):

@@ -1,24 +1,31 @@
-"""Tests for closed form characters, checked against the raw chart
-and edge road of ``oracles``."""
+"""Tests for closed form characters, checked against the quotient road
+and the raw chart and edge road of ``oracles``."""
 
 import random
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hftvertex.chars
 from hftvertex.chars import (CharError, LaurentPoly, NotPolynomial,
                              RationalCharacter, VariableSet,
-                             VariableSetMismatch, one_minus)
+                             VariableSetMismatch, ZeroDenominator, one_minus)
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
+from hftvertex.localize import ZeroWeight, contribution, weights_of
+from hftvertex.series import compare_rows
 from hftvertex.vertexchar import (alpha_block, beta_block, frame_sum,
                                   frame_sum_inv, geometric_sum,
                                   total_character)
 from oracles import (EdgeData, alpha_frame, axis_fold, beta_frame,
                      char_substituted, edge_character, edge_character_raw,
                      edge_g, edge_g_local, edge_shift, eq_rational,
-                     frame_pair_sum, frame_part, frame_part_rc, leg_alpha,
-                     leg_beta, quad_g, share_alpha, share_beta, trace_vertex,
-                     triple_g, two_chart_trace, vertex_character)
+                     frame_pair_sum, frame_part, frame_part_rc,
+                     geometric_quotient, leg_alpha, leg_beta, quad_g,
+                     share_alpha, share_beta, total_character_quotient,
+                     trace_vertex, triple_g, two_chart_trace,
+                     vertex_character)
+from test_summands import _outcome
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)
@@ -134,11 +141,15 @@ def test_geometric_sum():
         if not any(ratio):
             continue
         count = rng.randint(1, 5)
-        total = LaurentPoly.zero(V1)
-        for i in range(count):
-            total = total + LaurentPoly.monomial(
-                V1, tuple(a + i * b for a, b in zip(first, ratio)))
-        assert geometric_sum(V1, first, ratio, count).reduced() == total
+        assert (geometric_sum(V1, first, ratio, count)
+                == geometric_quotient(V1, first, ratio, count).reduced())
+    # a unit ratio repeats the first term, where the quotient has the
+    # zero denominator 1 - 1
+    first = V1.mono(t1=2, w=(-1,))
+    assert (geometric_sum(V1, first, V1.unit(), 3)
+            == LaurentPoly.monomial(V1, first, 3))
+    with pytest.raises(ZeroDenominator):
+        geometric_quotient(V1, first, V1.unit(), 3)
 
 
 def test_blocks_vanish_without_boxes():
@@ -161,6 +172,47 @@ def test_total_character_oracles():
         assert total_character(V1, BoxTuple((0,), (0,)), twist).is_zero()
         assert total_character(V2, BoxTuple((0, 0), (0, 0)),
                                twist).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_total_character_matches_quotient_oracle(data):
+    """The finite sum equals the quotient blocks reduced by exact
+    division, on both legs and at negative twists; where the unit
+    monomial appears, the weights of both refuse with one message."""
+    rank = data.draw(st.integers(1, 4))
+    counts = st.tuples(*[st.integers(0, 3 if rank < 4 else 2)] * rank)
+    box = BoxTuple(data.draw(counts), data.draw(counts))
+    twist = data.draw(st.integers(-4, 3))
+    vars = VariableSet(rank)
+    got = total_character(vars, box, twist)
+    want = total_character_quotient(vars, box, twist)
+    assert got == want
+    weights = _outcome(weights_of, got)
+    assert weights == _outcome(weights_of, want)
+    if vars.unit() in got.terms:
+        assert weights == (
+            ZeroWeight, "character carries a unit monomial term")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the package divided")
+
+
+def test_package_road_never_divides(monkeypatch):
+    """Contributions and a compare table go through no quotient: every
+    operation of the quotient ring, and the exact division, raise."""
+    for name in ("__init__", "__add__", "__radd__", "__sub__", "__mul__",
+                 "__rmul__", "normalized", "reduced"):
+        monkeypatch.setattr(RationalCharacter, name, _refuse)
+    monkeypatch.setattr(hftvertex.chars, "divide_one_minus", _refuse)
+    cells = [(V1, BoxTuple((2,), (0,)), 0), (V1, BoxTuple((0,), (3,)), 2),
+             (V2, BoxTuple((1, 2), (1, 0)), 1),
+             (V3, BoxTuple((0, 1, 0), (2, 0, 1)), 3)]
+    for vars, box, twist in cells:
+        for mode in ("character", "paper"):
+            assert not contribution(vars, box, twist, mode).is_zero()
+    assert len(compare_rows(2, 0, 2)) == 3
 
 
 def test_total_character_rank_two_oracle():
