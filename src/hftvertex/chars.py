@@ -430,12 +430,6 @@ class RationalCharacter:
             return NotImplemented
         return self + (-rhs)
 
-    def __rsub__(self, other: object) -> RationalCharacter:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other: object) -> RationalCharacter:
         if isinstance(other, (int, Fraction)):
             return RationalCharacter(self.vars, self.num.scaled(other),
@@ -446,11 +440,6 @@ class RationalCharacter:
         self._check(rhs)
         return RationalCharacter(self.vars, self.num * rhs.num,
                                  self.den + rhs.den).normalized()
-
-    def __rmul__(self, other: object) -> RationalCharacter:
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
 
     def bar(self) -> RationalCharacter:
         """Invert every variable in numerator and denominator alike."""

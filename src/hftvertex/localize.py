@@ -409,6 +409,11 @@ def _summand_factors(vars: VariableSet, j: int, alpha: int, beta: int,
             [f for sign, f in weights if sign > 0])
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("character", "paper"):
+        raise ModeUnavailable("unknown contribution mode %r" % (mode,))
+
+
 def contribution(vars: VariableSet, box: BoxTuple, twist: int,
                  mode: str = "character") -> WeightFunction:
     """Localization contribution of one fixed point.
@@ -438,8 +443,7 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
         raise VariableSetMismatch(
             "box tuple of rank %d over variables of rank %d"
             % (box.rank, vars.rank))
-    if mode not in ("character", "paper"):
-        raise ModeUnavailable("unknown contribution mode %r" % (mode,))
+    _check_mode(mode)
     context = "contribution of %r at twist %d" % (box, twist)
     shares = [weight_function(vars.rank, 1, *_summand_factors(
                   vars, j, alpha, beta, twist, mode), context)

@@ -38,8 +38,8 @@ from typing import TypeVar
 from .chars import HftError, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       _wf_text, contribution, specialize, value_parts,
-                       weight_function)
+                       _check_mode, _wf_text, contribution, specialize,
+                       value_parts, weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
 _C = TypeVar("_C")
@@ -215,8 +215,11 @@ def assemble_vertex(rank: int, twist: int, order: int,
     in which they first appear among the strata in lexicographic order,
     so the first share that fails is the one the strata would reach
     first."""
+    if rank < 1:
+        raise InvalidModel("rank must be at least one")
     if order < 0:
         raise InvalidModel("order must be nonnegative")
+    _check_mode(mode)
     vars = VariableSet(rank)
     legs = [{0: ws_unit(rank)} for _ in range(rank)]
     zeros = (0,) * rank
@@ -344,6 +347,8 @@ def closed_form_series(rank: int, twist: int, order: int,
                        spec: Specialization | None = None) -> VertexSeries:
     """Closed form prediction: the binomial series with exponent
     (twist + 1) * (s2 + s3)/s1, raised to the rank power."""
+    if rank < 1:
+        raise InvalidModel("rank must be at least one")
     if order < 0:
         raise InvalidModel("order must be nonnegative")
     exponent = one_leg_exponent(rank).scaled(twist + 1)

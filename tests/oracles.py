@@ -79,7 +79,7 @@ from hftvertex.localize import (AffineWeight, DivisionByZero, Specialization,
 from hftvertex.series import (BinomialIneligible, VertexSeries, WeightSum,
                               binomial_series, eq_weight_sum, weight_sum,
                               ws_unit)
-from hftvertex.vertexchar import frame_sum, frame_sum_inv, total_character
+from hftvertex.vertexchar import frame_sum, total_character
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,8 @@ def beta_frame(vars: VariableSet) -> ChartFrame:
 def frame_pair_sum(vars: VariableSet) -> LaurentPoly:
     """Product of frame and dual frame characters; its constant term is
     the rank."""
-    return frame_sum(vars) * frame_sum_inv(vars)
+    sw = frame_sum(vars)
+    return sw * sw.bar()
 
 
 def geometric_quotient(vars: VariableSet, first: Monomial, ratio: Monomial,
@@ -133,29 +134,42 @@ def geometric_quotient(vars: VariableSet, first: Monomial, ratio: Monomial,
                              (tuple(ratio),))
 
 
+def alpha_block_quotient(vars: VariableSet, j: int, boxes: int,
+                         twist: int) -> RationalCharacter:
+    """The first leg block of frame summand j as quotients of geometric
+    sums times the dual frame and frame characters."""
+    sw = frame_sum(vars)
+    return (geometric_quotient(
+        vars, vars.mono(t1=-twist - 1, w=[0] * j + [1]), vars.mono(t1=-1),
+        boxes) * sw.bar() - geometric_quotient(
+        vars, vars.mono(t1=twist, t2=-1, t3=-1, w=[0] * j + [-1]),
+        vars.mono(t1=1), boxes) * sw)
+
+
+def beta_block_quotient(vars: VariableSet, j: int,
+                        boxes: int) -> RationalCharacter:
+    """The second leg block of frame summand j as quotients of geometric
+    sums times the dual frame and frame characters."""
+    sw = frame_sum(vars)
+    return (geometric_quotient(
+        vars, vars.mono(t1=1, w=[0] * j + [1]), vars.mono(t1=1),
+        boxes) * sw.bar() - geometric_quotient(
+        vars, vars.mono(t1=-2, t2=-1, t3=-1, w=[0] * j + [-1]),
+        vars.mono(t1=-1), boxes) * sw)
+
+
 def total_character_quotient(vars: VariableSet, box: BoxTuple,
                              twist: int) -> LaurentPoly:
     """The closed form character of a fixed point on the quotient road:
     per frame summand with boxes, the two chart blocks as quotients of
     geometric sums times the frame characters, all added as rational
     characters, and the sum reduced by exact division."""
-    sw, swi = frame_sum(vars), frame_sum_inv(vars)
     acc = RationalCharacter.constant(vars, 0)
     for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta)):
-        w = [0] * j + [1]
-        dual = [0] * j + [-1]
         if alpha:
-            acc = acc + (geometric_quotient(
-                vars, vars.mono(t1=-twist - 1, w=w), vars.mono(t1=-1),
-                alpha) * swi - geometric_quotient(
-                vars, vars.mono(t1=twist, t2=-1, t3=-1, w=dual),
-                vars.mono(t1=1), alpha) * sw)
+            acc = acc + alpha_block_quotient(vars, j, alpha, twist)
         if beta:
-            acc = acc + (geometric_quotient(
-                vars, vars.mono(t1=1, w=w), vars.mono(t1=1), beta) * swi
-                - geometric_quotient(
-                vars, vars.mono(t1=-2, t2=-1, t3=-1, w=dual),
-                vars.mono(t1=-1), beta) * sw)
+            acc = acc + beta_block_quotient(vars, j, beta)
     return acc.reduced()
 
 
@@ -202,7 +216,7 @@ def trace_vertex(vars: VariableSet, module_char: RationalCharacter,
     denominator factors; nothing is expanded into a series.
     """
     sw = frame_sum(vars)
-    swi = frame_sum_inv(vars)
+    swi = sw.bar()
     c = frame.twist_char
     t1m, t2m, t3m = frame.t_images
     inv_prod = tuple(-(a + b + d) for a, b, d in zip(t1m, t2m, t3m))
@@ -301,7 +315,7 @@ def edge_g(vars: VariableSet, module_char: LaurentPoly,
         + (1 - W*W**C*C^)/((1-t2)(1-t3)).
     """
     sw = frame_sum(vars)
-    swi = frame_sum_inv(vars)
+    swi = sw.bar()
     f = module_char
     c = twist_char
     fbar = f.bar()

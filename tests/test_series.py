@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hftvertex.fixedpoints import InvalidModel
-from hftvertex.localize import (DivisionByZero, parse_specialization,
-                                weight_function)
+from hftvertex.localize import (DivisionByZero, ModeUnavailable,
+                                parse_specialization, weight_function)
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
                               assemble_vertex, binomial_series,
                               closed_form_series, compare_rows, count_series,
@@ -121,6 +121,24 @@ def test_assemble_vertex_specialization_context():
         assemble_vertex(1, 0, 1, "character", spec)
     assert "contribution of BoxTuple" in str(err.value)
     assert "at twist 0" in str(err.value)
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_series_refuse_a_rank_below_one(rank):
+    for build in (lambda: assemble_vertex(rank, 0, 0),
+                  lambda: assemble_vertex(rank, 0, 3),
+                  lambda: closed_form_series(rank, 0, 3),
+                  lambda: compare_rows(rank, 0, 2)):
+        with pytest.raises(InvalidModel, match="^rank must be at least one$"):
+            build()
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_assemble_vertex_refuses_an_unknown_mode(order):
+    # refused at order zero too, where no share is built
+    with pytest.raises(ModeUnavailable,
+                       match="^unknown contribution mode 'bogus'$"):
+        assemble_vertex(1, 0, order, mode="bogus")
 
 
 def test_binomial_series_scalar():

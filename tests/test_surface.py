@@ -43,8 +43,8 @@ PUBLIC = {
         "reference_series", "weight_sum", "ws_text", "ws_to_json",
         "ws_unit"},
     "hftvertex.vertexchar": {
-        "alpha_block", "beta_block", "frame_sum", "frame_sum_inv",
-        "geometric_sum", "total_character"},
+        "alpha_block", "beta_block", "frame_sum", "geometric_sum",
+        "total_character"},
 }
 
 

@@ -15,16 +15,15 @@ from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
 from hftvertex.localize import ZeroWeight, contribution, weights_of
 from hftvertex.series import compare_rows
 from hftvertex.vertexchar import (alpha_block, beta_block, frame_sum,
-                                  frame_sum_inv, geometric_sum,
-                                  total_character)
-from oracles import (EdgeData, alpha_frame, axis_fold, beta_frame,
-                     char_substituted, edge_character, edge_character_raw,
-                     edge_g, edge_g_local, edge_shift, eq_rational,
-                     frame_pair_sum, frame_part, frame_part_rc,
-                     geometric_quotient, leg_alpha, leg_beta, quad_g,
-                     share_alpha, share_beta, total_character_quotient,
-                     trace_vertex, triple_g, two_chart_trace,
-                     vertex_character)
+                                  geometric_sum, total_character)
+from oracles import (EdgeData, alpha_block_quotient, alpha_frame, axis_fold,
+                     beta_block_quotient, beta_frame, char_substituted,
+                     edge_character, edge_character_raw, edge_g,
+                     edge_g_local, edge_shift, eq_rational, frame_pair_sum,
+                     frame_part, frame_part_rc, geometric_quotient,
+                     leg_alpha, leg_beta, quad_g, share_alpha, share_beta,
+                     total_character_quotient, trace_vertex, triple_g,
+                     two_chart_trace, vertex_character)
 from test_summands import _outcome
 
 V1 = VariableSet(1)
@@ -48,7 +47,15 @@ def test_frames():
 
 def test_frame_sums():
     assert frame_sum(V2) == mono(V2, w=(1, 0)) + mono(V2, w=(0, 1))
-    assert frame_sum_inv(V2) == mono(V2, w=(-1, 0)) + mono(V2, w=(0, -1))
+    assert frame_sum(V2).bar() == mono(V2, w=(-1, 0)) + mono(V2, w=(0, -1))
+    for rank in range(1, 6):
+        vars = VariableSet(rank)
+        units = [[int(i == j) for i in range(rank)] for j in range(rank)]
+        assert frame_sum(vars) == sum(
+            (mono(vars, w=w) for w in units), LaurentPoly.zero(vars))
+        assert frame_sum(vars).bar() == sum(
+            (mono(vars, w=[-x for x in w]) for w in units),
+            LaurentPoly.zero(vars))
     pair = frame_pair_sum(V2)
     assert pair.constant_term == 2
     assert pair.coefficient(V2.mono(w=(1, -1))) == 1
@@ -157,6 +164,31 @@ def test_blocks_vanish_without_boxes():
     assert beta_block(V2, 1, 0).is_zero()
 
 
+def test_blocks_refuse_a_summand_outside_the_rank():
+    for j in (-1, 2):
+        with pytest.raises(VariableSetMismatch,
+                           match="no frame summand %d at rank 2" % j):
+            alpha_block(V2, j, 1, 0)
+        with pytest.raises(VariableSetMismatch):
+            beta_block(V2, j, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocks_match_quotient_oracle(data):
+    """Each block equals its quotient oracle reduced by exact division,
+    for every frame summand, on both legs and at negative twists."""
+    rank = data.draw(st.integers(1, 4))
+    j = data.draw(st.integers(0, rank - 1))
+    boxes = data.draw(st.integers(0, 4))
+    twist = data.draw(st.integers(-4, 3))
+    vars = VariableSet(rank)
+    assert (alpha_block(vars, j, boxes, twist)
+            == alpha_block_quotient(vars, j, boxes, twist).reduced())
+    assert (beta_block(vars, j, boxes)
+            == beta_block_quotient(vars, j, boxes).reduced())
+
+
 def test_total_character_oracles():
     box = BoxTuple((1,), (0,))
     assert total_character(V1, box, 0) == (
@@ -203,7 +235,7 @@ def test_package_road_never_divides(monkeypatch):
     """Contributions and a compare table go through no quotient: every
     operation of the quotient ring, and the exact division, raise."""
     for name in ("__init__", "__add__", "__radd__", "__sub__", "__mul__",
-                 "__rmul__", "normalized", "reduced"):
+                 "normalized", "reduced"):
         monkeypatch.setattr(RationalCharacter, name, _refuse)
     monkeypatch.setattr(hftvertex.chars, "divide_one_minus", _refuse)
     cells = [(V1, BoxTuple((2,), (0,)), 0), (V1, BoxTuple((0,), (3,)), 2),
@@ -300,7 +332,7 @@ def test_edge_g_local_structure():
     for vars in (V1, V2):
         for twist in (0, 1, 3):
             sw = frame_sum(vars)
-            swi = frame_sum_inv(vars)
+            swi = sw.bar()
             poly = (swi.times_monomial(vars.mono(t1=-twist))
                     - sw.times_monomial(vars.mono(t1=twist, t2=-1, t3=-1))
                     + (one_minus(vars, vars.mono(t2=1))
