@@ -18,13 +18,14 @@ import json
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from math import comb
 
 from .chars import HftError
 from .fixedpoints import (FrozenTripleModel, InvalidModel, hilbert_poly,
                           limit_stable_equiv, tau_stability_check)
 from .localize import SpecializationSyntax, parse_specialization
-from .series import (InvalidCounts, assemble_vertex, compare_rows,
-                     closed_form_series, hft_partition, ws_text, ws_to_json)
+from .series import (InvalidCounts, _ws_json, _ws_text, assemble_vertex,
+                     closed_form_series, compare_rows, hft_partition)
 
 
 class UsageError(Exception):
@@ -48,6 +49,24 @@ def _int_at_least(low: int):
 
 _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
+
+# Size limits of ``vertex`` and ``compare``.  Their work grows with the
+# number C(order + rank, rank) of first leg fixed points the series sums
+# over, and in ``compare`` also with the rank, so a larger run could go
+# minutes without output.  At the limits each run takes seconds.
+_MAX_RANK = 16
+_MAX_FIXED_POINTS = 400
+
+
+def _check_size(args) -> None:
+    if args.rank > _MAX_RANK:
+        raise UsageError("rank %d is past the limit of %d"
+                         % (args.rank, _MAX_RANK))
+    if comb(args.order + args.rank, args.rank) > _MAX_FIXED_POINTS:
+        raise UsageError(
+            "order %d at rank %d is past the limit: the series may sum "
+            "over at most %d fixed points, C(order + rank, rank)"
+            % (args.order, args.rank, _MAX_FIXED_POINTS))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,39 +156,40 @@ def _json_text(doc) -> str:
     ``TypeError``.
 
     For an indented dump the stdlib runs its pure-Python encoder.  Here
-    strings go through its C escaper, and a list of plain ints is joined
-    once per distinct list and depth: the weight forms of a series
-    recur many times."""
+    strings go through its C escaper, and a list of plain ints that
+    recurs among the items of lists is joined once per list object and
+    depth: a series document holds one list per distinct weight form,
+    and each recurs many times.  The document keeps every list alive
+    during the call, so no two of them share an ``id``."""
     escape = json.encoder.encode_basestring_ascii
-    joined: dict[tuple, str] = {}
+    joined: dict[tuple[str, int], str] = {}
     parts: list[str] = []
     put = parts.append
 
     def write(v, indent: str) -> None:
         # indent is the newline and indentation that close v
-        if isinstance(v, str):
-            put(escape(v))
-        elif isinstance(v, list):
+        if isinstance(v, list):
             if not v:
                 put("[]")
                 return
             inner = indent + "  "
             # by type, so that a bool in the list is never written as 1
             if set(map(type, v)) == {int}:
-                key = (inner, *v)
-                text = joined.get(key)
-                if text is None:
-                    text = joined[key] = "[%s%s%s]" % (
-                        inner, ("," + inner).join(map(int.__repr__, v)),
-                        indent)
+                text = joined[indent, id(v)] = "[%s%s%s]" % (
+                    inner, ("," + inner).join(map(int.__repr__, v)), indent)
                 put(text)
                 return
             put("[")
-            sep = inner
+            sep, comma = inner, "," + inner
             for x in v:
                 put(sep)
-                write(x, inner)
-                sep = "," + inner
+                # a list joined before is written here, without a call
+                text = joined.get((inner, id(x)))
+                if text is None:
+                    write(x, inner)
+                else:
+                    put(text)
+                sep = comma
             put(indent + "]")
         elif isinstance(v, dict):
             if not v:
@@ -185,6 +205,8 @@ def _json_text(doc) -> str:
                 write(v[k], inner)
                 sep = "," + inner
             put(indent + "}")
+        elif isinstance(v, str):
+            put(escape(v))
         elif v is None:
             put("null")
         elif v is True:
@@ -223,6 +245,7 @@ def _emit(args, doc: dict, text: Callable[[], str]) -> int:
 
 
 def _run_vertex(args) -> int:
+    _check_size(args)
     spec = parse_specialization(args.rank, args.specialize)
     if args.mode == "closed_form":
         series = closed_form_series(args.rank, args.twist, args.order, spec)
@@ -237,29 +260,36 @@ _WS_COLUMNS = ("character", "paper", "closed_form",
 
 
 def _run_compare(args) -> int:
+    _check_size(args)
     spec = parse_specialization(args.rank, args.specialize)
     rows = compare_rows(args.rank, args.twist, args.order, spec)
+    # one form cache per output, as in VertexSeries.to_json and text
+    lists: dict = {}
     doc = {
         "rank": args.rank,
         "twist": args.twist,
         "order": args.order,
         "specialization": spec.source,
-        "rows": [{**row, **{c: ws_to_json(row[c]) for c in _WS_COLUMNS}}
+        "rows": [{**row, **{c: _ws_json(row[c], lists)
+                            for c in _WS_COLUMNS}}
                  for row in rows],
     }
 
     def text() -> str:
+        forms: dict = {}
         lines = []
         for row in rows:
             lines.append("k = %d" % row["k"])
-            lines.append("  character:   %s" % ws_text(row["character"]))
-            lines.append("  paper:       %s" % ws_text(row["paper"]))
-            lines.append("  closed form: %s" % ws_text(row["closed_form"]))
+            lines.append("  character:   %s"
+                         % _ws_text(row["character"], forms))
+            lines.append("  paper:       %s" % _ws_text(row["paper"], forms))
+            lines.append("  closed form: %s"
+                         % _ws_text(row["closed_form"], forms))
             lines.append("  character == paper: %s, character == closed "
                          "form: %s" % (row["character_equals_paper"],
                                        row["character_equals_closed_form"]))
             lines.append("  difference from reference: %s"
-                         % ws_text(row["difference_from_reference"]))
+                         % _ws_text(row["difference_from_reference"], forms))
         return "\n".join(lines)
     return _emit(args, doc, text)
 

@@ -172,15 +172,31 @@ class WeightFunction:
         return Fraction(top, bottom)
 
     def to_json(self) -> dict:
-        return {"scalar": str(self.scalar),
-                "num": [list(f) for f in self.num],
-                "den": [list(f) for f in self.den]}
+        return _wf_json(self, {})
 
     def text(self) -> str:
         return _wf_text(self, {})
 
     def __repr__(self) -> str:
         return self.text()
+
+
+def _wf_json(wf: WeightFunction, lists: dict[WeightForm, list[int]]
+             ) -> dict:
+    """The JSON form of ``wf``.  ``lists`` maps each form written so far
+    to its list; the caller keeps it for one document, so a form that
+    recurs is one list object there, which the CLI's JSON writer joins
+    once."""
+    out = {"scalar": str(wf.scalar)}
+    for side, forms in (("num", wf.num), ("den", wf.den)):
+        vecs = []
+        for f in forms:
+            vec = lists.get(f)
+            if vec is None:
+                vec = lists[f] = list(f)
+            vecs.append(vec)
+        out[side] = vecs
+    return out
 
 
 def _wf_text(wf: WeightFunction, forms: dict[WeightForm, str]) -> str:
@@ -245,16 +261,21 @@ def _primitive_forms(rank: int, forms: Sequence[Sequence], den: bool,
         if len(f) != 3 + rank:
             raise VariableSetMismatch(
                 "form of length %d for rank %d" % (len(f), rank))
-        m = lcm(*[x.denominator for x in f])
-        ints = [x.numerator * (m // x.denominator) for x in f]
-        c = gcd(*ints)
+        try:
+            c = gcd(*f)
+            m, ints = 1, f
+        except TypeError:  # Fraction entries: clear them to integers
+            m = lcm(*[x.denominator for x in f])
+            ints = [x.numerator * (m // x.denominator) for x in f]
+            c = gcd(*ints)
         if not c:
             if den:
                 raise DivisionByZero("zero weight in a denominator%s" % where)
             raise ZeroWeight("zero weight in a numerator%s" % where)
         if next(x for x in ints if x) < 0:
             c = -c
-        prims.append(tuple([x // c for x in ints]))
+        prims.append(tuple(ints) if c == 1
+                     else tuple([x // c for x in ints]))
         top *= c
         bottom *= m
     prims.sort()
@@ -299,7 +320,9 @@ def _cancelled(rank: int, scalar: Fraction, nn: list[WeightForm],
                dd: list[WeightForm]) -> WeightFunction:
     """The weight function scalar * nn/dd for sorted lists of primitive
     forms, with the forms shared by nn and dd cancelled as multisets in
-    one pass."""
+    one pass.  Most products share none, and those skip the pass."""
+    if set(nn).isdisjoint(dd):
+        return WeightFunction(rank, scalar, tuple(nn), tuple(dd))
     i = j = 0
     keep_n: list[WeightForm] = []
     keep_d: list[WeightForm] = []

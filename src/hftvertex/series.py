@@ -3,8 +3,10 @@
 The vertex series collects, order by order in the box count, the sum of
 fixed point contributions on the pure first leg strata: the fixed points
 whose second leg carries no boxes.  Coefficients are ``WeightSum``
-values: canonical tuples of weight functions, grouped by their factor
-data.  Exact equality of two weight sums is decided in two exact steps:
+values: canonical tuples of weight functions, one per factor data, in
+sorted order.  A sum sorts its terms by factor data and merges equal
+neighbours, adding scalars only where two terms share their forms.
+Exact equality of two weight sums is decided in two exact steps:
 integer evaluation at a few fixed points, where differing values prove
 the sums unequal, then, only when every point agrees, expansion of the
 difference over the least common denominator of its terms, in integers:
@@ -23,6 +25,8 @@ all three, on weight sums and on counts cleared to integers alike, and
 sums the products of each degree once.  The frame summands are
 interchangeable, so leg series j is leg series r with v_j and v_r
 exchanged: one share is built per order, and each is specialized on its own.
+The exchange permutes the entries of each canonical form and fixes the
+signs, so it needs no new canonical form.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ from typing import TypeVar
 from .chars import HftError, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       _check_mode, _wf_text, contribution, specialize,
-                       value_parts, weight_function)
+                       _check_mode, _product, _wf_json, _wf_text,
+                       contribution, specialize, value_parts,
+                       weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
 _C = TypeVar("_C")
@@ -56,21 +61,35 @@ class InvalidCounts(InvalidModel):
 
 
 def weight_sum(rank: int, items: Sequence[WeightFunction]) -> WeightSum:
-    """Canonical sum: group by factor data, add scalars, drop zeros,
-    sort.  The factor data of a canonical term stays canonical under a
-    new nonzero scalar, so each group becomes a term directly."""
-    acc: dict[tuple, Fraction] = {}
+    """Canonical sum: sort the terms by factor data, add the scalars of
+    equal neighbours, drop zeros.  The factor data of a canonical term
+    stays canonical under a new nonzero scalar, so a merged group
+    becomes a term directly, and a term alone in its group is kept as
+    it is."""
+    terms: list[WeightFunction] = []
     for wf in items:
         if wf.rank != rank:
             raise InvalidModel(
                 "weight function of rank %d in a sum of rank %d"
                 % (wf.rank, rank))
-        if wf.is_zero():
-            continue
-        key = (wf.num, wf.den)
-        acc[key] = acc.get(key, 0) + wf.scalar
-    return tuple(WeightFunction(rank, scalar, num, den)
-                 for (num, den), scalar in sorted(acc.items()) if scalar)
+        if wf.scalar:
+            terms.append(wf)
+    terms.sort(key=operator.attrgetter("num", "den"))
+    out: list[WeightFunction] = []
+    i, n = 0, len(terms)
+    while i < n:
+        wf = terms[i]
+        j = i + 1
+        while j < n and terms[j].num == wf.num and terms[j].den == wf.den:
+            j += 1
+        if j == i + 1:
+            out.append(wf)
+        else:
+            scalar = sum((t.scalar for t in terms[i + 1:j]), wf.scalar)
+            if scalar:
+                out.append(WeightFunction(rank, scalar, wf.num, wf.den))
+        i = j
+    return tuple(out)
 
 
 def ws_unit(rank: int) -> WeightSum:
@@ -78,9 +97,14 @@ def ws_unit(rank: int) -> WeightSum:
 
 
 def ws_text(a: WeightSum) -> str:
+    return _ws_text(a, {})
+
+
+def _ws_text(a: WeightSum, forms: dict[WeightForm, str]) -> str:
+    """Render ``a`` with the form texts of ``forms``, which the caller
+    keeps for one output (see ``_wf_text``)."""
     if not a:
         return "0"
-    forms: dict[WeightForm, str] = {}
     out = _wf_text(a[0], forms)
     for wf in a[1:]:
         t = _wf_text(wf, forms)
@@ -92,11 +116,17 @@ def ws_text(a: WeightSum) -> str:
 
 
 def ws_to_json(a: WeightSum):
+    return _ws_json(a, {})
+
+
+def _ws_json(a: WeightSum, lists: dict[WeightForm, list[int]]):
+    """The JSON form of ``a`` with the form lists of ``lists``, which the
+    caller keeps for one document (see ``_wf_json``)."""
     if not a:
         return {"scalar": "0", "num": [], "den": []}
     if len(a) == 1:
-        return a[0].to_json()
-    return [wf.to_json() for wf in a]
+        return _wf_json(a[0], lists)
+    return [_wf_json(wf, lists) for wf in a]
 
 
 # One evaluation point per base: its entries are the powers base ** 1,
@@ -176,6 +206,7 @@ class VertexSeries:
     coefficients: tuple[WeightSum, ...]
 
     def to_json(self) -> dict:
+        lists: dict[WeightForm, list[int]] = {}
         return {
             "rank": self.rank,
             "twist": self.twist,
@@ -183,7 +214,7 @@ class VertexSeries:
             "mode": self.mode,
             "specialization": self.specialization,
             "coefficients": [
-                {"k": k, "value": ws_to_json(c)}
+                {"k": k, "value": _ws_json(c, lists)}
                 for k, c in enumerate(self.coefficients)],
         }
 
@@ -192,8 +223,9 @@ class VertexSeries:
             self.rank, self.twist, self.mode,
             ", specialized: %s" % self.specialization
             if self.specialization else "")]
+        forms: dict[WeightForm, str] = {}
         for k, c in enumerate(self.coefficients):
-            lines.append("c[%d] = %s" % (k, ws_text(c)))
+            lines.append("c[%d] = %s" % (k, _ws_text(c, forms)))
         return "\n".join(lines)
 
 
@@ -241,15 +273,32 @@ def assemble_vertex(rank: int, twist: int, order: int,
 
 
 def _exchanged(wf: WeightFunction, j: int) -> WeightFunction:
-    """``wf`` with the frame parameters of summands j and r exchanged,
-    canonicalized again: a form with no torus part can change sign."""
+    """``wf`` with the frame parameters of summands j and r exchanged.
+
+    The exchange permutes the entries of each form, which stays
+    primitive.  It moves no torus entry, so only a form with no torus
+    part can see its first nonzero entry turn negative; such a form is
+    negated, and each negation flips the sign of the scalar.  Sorting
+    the two sides then gives the canonical form.  Nothing cancels: on
+    canonical forms the map is injective, so forms that were distinct
+    stay distinct."""
     k, r = 3 + j, 2 + wf.rank
     if k == r:
         return wf
-    swap = [f[:k] + f[r:] + f[k + 1:r] + f[k:k + 1]
-            for f in (*wf.num, *wf.den)]
-    return weight_function(wf.rank, wf.scalar, swap[:len(wf.num)],
-                           swap[len(wf.num):])
+    sign = 1
+    sides = []
+    for forms in (wf.num, wf.den):
+        out = []
+        for f in forms:
+            g = f[:k] + f[r:] + f[k + 1:r] + f[k:k + 1]
+            if not (g[0] or g[1] or g[2]) and next(x for x in g if x) < 0:
+                g = tuple([-x for x in g])
+                sign = -sign
+            out.append(g)
+        out.sort()
+        sides.append(tuple(out))
+    return WeightFunction(wf.rank, wf.scalar if sign > 0 else -wf.scalar,
+                          *sides)
 
 
 def _binomial_factor(exponent: WeightFunction, shift: int) -> WeightFunction:
@@ -319,7 +368,7 @@ def _ws_product(rank: int, factors: Sequence[Mapping[int, WeightSum]],
     that land on a degree are summed by one ``weight_sum`` call."""
     return _convolution(
         factors, order, ws_unit(rank),
-        lambda a, b: [x * y for x in a for y in b],
+        lambda a, b: [_product(rank, (x, y)) for x in a for y in b],
         lambda parts: weight_sum(rank, [wf for p in parts for wf in p]))
 
 

@@ -34,7 +34,13 @@ product over the frame summands instead.  So is the enumeration road to
 the vertex series: ``assemble_vertex_enumerated`` sums, order by order,
 the contribution of every first leg stratum listed by ``leg_strata``,
 where the package multiplies the leg series of the frame summands, and
-``ws_mul`` multiplies two weight sums term by term.
+``ws_mul`` multiplies two weight sums term by term.  The first roads of
+two steps of that product stay too: ``exchanged_canonicalized``
+exchanges v_j and v_r in every form and canonicalizes the result again,
+where the package permutes the canonical forms and fixes their signs;
+``weight_sum_grouped`` groups the terms of a sum in a dict keyed by
+their factor data, where the package sorts the terms and merges equal
+neighbours.
 
 The first canonicalizer of weight functions is kept too:
 ``weight_function_fraction`` builds the canonical form in ``Fraction``
@@ -494,6 +500,35 @@ def contribution_whole(vars: VariableSet, box: BoxTuple, twist: int,
 def ws_mul(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:
     """Product of two weight sums, term by term."""
     return weight_sum(rank, [x * y for x in a for y in b])
+
+
+def exchanged_canonicalized(wf: WeightFunction, j: int) -> WeightFunction:
+    """``wf`` with the frame parameters of summands j and r exchanged in
+    every form, put through ``weight_function`` again."""
+    k, r = 3 + j, 2 + wf.rank
+    if k == r:
+        return wf
+    swap = [f[:k] + f[r:] + f[k + 1:r] + f[k:k + 1]
+            for f in (*wf.num, *wf.den)]
+    return weight_function(wf.rank, wf.scalar, swap[:len(wf.num)],
+                           swap[len(wf.num):])
+
+
+def weight_sum_grouped(rank: int, items) -> WeightSum:
+    """Canonical sum by grouping: a dict from factor data to the sum of
+    the scalars, zeros dropped, sorted by factor data."""
+    acc: dict[tuple, Fraction] = {}
+    for wf in items:
+        if wf.rank != rank:
+            raise InvalidModel(
+                "weight function of rank %d in a sum of rank %d"
+                % (wf.rank, rank))
+        if wf.is_zero():
+            continue
+        key = (wf.num, wf.den)
+        acc[key] = acc.get(key, 0) + wf.scalar
+    return tuple(WeightFunction(rank, scalar, num, den)
+                 for (num, den), scalar in sorted(acc.items()) if scalar)
 
 
 def leg_strata(rank: int, total: int) -> list[BoxTuple]:

@@ -388,6 +388,30 @@ def test_huge_exponent_strings_exit_two_at_once(tmp_path, capsys):
         assert err.startswith(message), argv
 
 
+def test_series_past_the_size_limit_exit_two_at_once(capsys):
+    # each ran without output until killed before the limit existed
+    for argv, message in (
+            ("vertex --order 99999999999999999999999",
+             "order 99999999999999999999999 at rank 1 is past the limit"),
+            ("compare --rank 1 --order 100000",
+             "order 100000 at rank 1 is past the limit"),
+            ("vertex --rank 3 --order 12", "order 12 at rank 3 is past"),
+            ("compare --rank 17 --order 0", "rank 17 is past the limit")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv.split())
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: " + message), argv
+        assert err.count("\n") == 1 and err.count("error:") == 1, argv
+
+
+def test_series_at_the_size_limit_run(capsys):
+    # C(11 + 3, 3) = 364 and C(2 + 16, 16) = 153 fixed points, at most 400
+    for argv in ("vertex --rank 3 --order 11", "vertex --rank 16 --order 2"):
+        code, out, err = run(capsys, argv.split())
+        assert code == 0 and err == "", argv
+
+
 def test_small_rational_strings_are_still_read(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"1": "3/2", "2": "1.5", "3": "2e3"}))
@@ -417,9 +441,30 @@ _JSON = st.recursive(
     max_leaves=40)
 
 
-@given(_JSON)
+# One list object placed at several depths, as a series document places
+# the list of each weight form; [1, 0] and [True, False] are equal, with
+# equal hashes, and must each keep their own text.
+_ONE_ZERO, _TRUE_FALSE = [1, 0], [True, False]
+
+
+@st.composite
+def _shared_lists(draw):
+    shared = draw(st.lists(_INT_LISTS, min_size=1, max_size=3))
+    shared += [_ONE_ZERO, _TRUE_FALSE]
+    return draw(st.recursive(
+        st.sampled_from(shared) | st.integers(-2, 2),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+        max_leaves=30))
+
+
+@given(_JSON | _shared_lists())
 @example({"a": [[1, 2], [[1, 2]]], "b": [1, True], "c": [1, 1],
           "d": [[], {}, -10 ** 40], "\u00e9\n\"": "\t\u2603\\"})
+@example({"a": [_ONE_ZERO, [_ONE_ZERO, [_ONE_ZERO]]],
+          "b": [_TRUE_FALSE, _ONE_ZERO, [_TRUE_FALSE]],
+          "c": _ONE_ZERO, "d": {"e": [[_TRUE_FALSE], _ONE_ZERO]},
+          "f": _TRUE_FALSE})
 def test_json_text_is_the_indented_dump(doc):
     assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 

@@ -53,6 +53,14 @@ GOLDEN = {
         "567840f825b980bee72a6b8d008f5137c111240d9fc6c89f1dc69f00bb6215ff",
     "vertex --rank 4 --order 3 --twist 1 --specialize s3=-s1-s2,v2=v1 --format json":
         "e771c8cb14b1789f9240a1819dd0605dfa578dbbda664e82e2b81c3e48d218f6",
+    "vertex --rank 5 --order 3 --format json":
+        "bba6bb6a0bf11258c24329ae9ebf527df0d8a353919c1859dd7bf70fee3b6499",
+    "vertex --rank 3 --order 5":
+        "c5596eb9612830fa0da9764930bad2be81cd65d5379a5c4014d4c62e7cd8cd8a",
+    "vertex --rank 4 --order 5 --mode paper":
+        "6994452e80d2d821945ecf25c27321d80d882ec5a2f81968d650c61790a10504",
+    "compare --rank 1 --order 10":
+        "86618d1859a4d0a7e745ccfc05d5b379c0c0f7d11762d47fa7165af9030d8ca7",
     "compare --rank 2 --order 2":
         "d6bd12c7034c7ca83a43858621d350172c5045729122bbc993ca9bbace92e141",
     "compare --rank 2 --order 2 --format json":

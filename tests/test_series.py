@@ -8,16 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hftvertex.fixedpoints import InvalidModel
+from hftvertex.chars import VariableSet
+from hftvertex.fixedpoints import BoxTuple, InvalidModel
 from hftvertex.localize import (DivisionByZero, ModeUnavailable,
-                                parse_specialization, weight_function)
+                                contribution, parse_specialization,
+                                weight_function)
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
-                              assemble_vertex, binomial_series,
+                              _exchanged, assemble_vertex, binomial_series,
                               closed_form_series, compare_rows, count_series,
                               eq_weight_sum, hft_partition, one_leg_exponent,
                               power, reference_series, weight_sum, ws_text,
                               ws_to_json, ws_unit)
-from oracles import binomiality_test, brute_partition, leg_strata, ws_mul
+from oracles import (binomiality_test, brute_partition,
+                     exchanged_canonicalized, leg_strata, weight_sum_grouped,
+                     ws_mul)
 
 
 def wf1(scalar, num=(), den=()):
@@ -38,6 +42,77 @@ def test_weight_sum_sorts():
     a = wf1(1, [(1, 0, 0, 0)])
     b = wf1(1, [(0, 1, 0, 0)])
     assert weight_sum(1, [a, b]) == weight_sum(1, [b, a])
+
+
+SCALARS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _forms(rank):
+    """Forms with small entries, so that they recur; many have no torus
+    part, and some of those change sign under an exchange of frame
+    parameters."""
+    frame = st.tuples(*[st.integers(-2, 2)] * rank)
+    torus = st.just((0, 0, 0)) | st.tuples(*[st.integers(-2, 2)] * 3)
+    return st.builds(lambda t, v: t + v, torus, frame).filter(any)
+
+
+def _weight_functions(rank):
+    forms = st.lists(_forms(rank), max_size=4)
+    return st.builds(lambda c, num, den: weight_function(rank, c, num, den),
+                     SCALARS, forms, forms)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_exchange_is_the_canonicalized_exchange(data):
+    rank = data.draw(st.integers(1, 5))
+    wf = data.draw(_weight_functions(rank))
+    for j in range(rank):
+        assert _exchanged(wf, j) == exchanged_canonicalized(wf, j)
+
+
+def test_exchange_flips_the_sign_of_a_frame_form():
+    wf = weight_function(2, 3, [(0, 0, 0, 1, -1)], [(1, 0, 0, 0, 1)])
+    swapped = _exchanged(wf, 0)
+    assert swapped == weight_function(2, -3, [(0, 0, 0, 1, -1)],
+                                      [(1, 0, 0, 1, 0)])
+    assert swapped == exchanged_canonicalized(wf, 0)
+
+
+@pytest.mark.parametrize("mode", ["character", "paper"])
+def test_exchange_of_the_shares_assemble_vertex_builds(mode):
+    for rank in range(1, 6):
+        zeros = (0,) * rank
+        for a in range(1, 4):
+            for twist in (0, 2):
+                share = contribution(VariableSet(rank), BoxTuple(
+                    zeros[1:] + (a,), zeros), twist, mode)
+                for j in range(rank):
+                    assert _exchanged(share, j) == exchanged_canonicalized(
+                        share, j), (rank, a, twist, j)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_weight_sum_is_the_grouped_sum(data):
+    # terms drawn from a small pool repeat their factor data, and the
+    # negated copies cancel some groups to zero
+    rank = data.draw(st.integers(1, 3))
+    pool = data.draw(st.lists(_weight_functions(rank), min_size=1,
+                              max_size=4))
+    items = [wf.scaled(c) for wf, c in data.draw(st.lists(
+        st.tuples(st.sampled_from(pool), SCALARS), max_size=10))]
+    if items:
+        items += [wf.scaled(-1) for wf in data.draw(
+            st.lists(st.sampled_from(items), max_size=len(items)))]
+    items = data.draw(st.permutations(items))
+    got = weight_sum(rank, items)
+    assert got == weight_sum_grouped(rank, items)
+    for wf in got:
+        group = [x for x in items
+                 if x.scalar and (x.num, x.den) == (wf.num, wf.den)]
+        if len(group) == 1:
+            assert wf is group[0]
 
 
 def test_ws_text():
