@@ -50,19 +50,24 @@ def _int_at_least(low: int):
 _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
-# Size limits of ``vertex`` and ``compare``.  Their work grows with the
-# number C(order + rank, rank) of first leg fixed points the series sums
-# over, and in ``compare`` also with the rank, so a larger run could go
-# minutes without output.  At the limits each run takes seconds.
+# Size limits: the work of ``vertex`` and ``compare`` grows with the
+# number C(order + rank, rank) of first leg fixed points and with the
+# rank, that of ``partition`` with the rank and the order squared.  At
+# the limits each run takes seconds; past them, it could take minutes.
 _MAX_RANK = 16
 _MAX_FIXED_POINTS = 400
+_MAX_PARTITION_ORDER = 1000
 
 
 def _check_size(args) -> None:
     if args.rank > _MAX_RANK:
         raise UsageError("rank %d is past the limit of %d"
                          % (args.rank, _MAX_RANK))
-    if comb(args.order + args.rank, args.rank) > _MAX_FIXED_POINTS:
+    if args.command == "partition":
+        if args.order > _MAX_PARTITION_ORDER:
+            raise UsageError("order %d is past the limit of %d"
+                             % (args.order, _MAX_PARTITION_ORDER))
+    elif comb(args.order + args.rank, args.rank) > _MAX_FIXED_POINTS:
         raise UsageError(
             "order %d at rank %d is past the limit: the series may sum "
             "over at most %d fixed points, C(order + rank, rank)"
@@ -223,15 +228,18 @@ def _json_text(doc) -> str:
     return "".join(parts)
 
 
-def _emit(args, doc: dict, text: Callable[[], str]) -> int:
-    """Write the JSON form of ``doc`` or the plain text that ``text``
-    renders, as the format option asks, each with one final newline.
-    Text is rendered only when asked for: it can cost as much as the
-    computation.  A file that cannot be written is a usage error."""
-    if args.format == "json":
-        payload = _json_text(doc) + "\n"
-    else:
-        payload = text() + "\n"
+def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> int:
+    """Write the JSON document that ``doc`` builds or the text that
+    ``text`` renders, as the format option asks, with one final newline.
+    Only that form is built: it can cost as much as the computation.  A
+    number past the digit limit of ``str()`` fails the run, and a file
+    that cannot be written is a usage error."""
+    try:
+        payload = (_json_text(doc()) if args.format == "json"
+                   else text()) + "\n"
+    except ValueError:  # str() of an int past its digit limit
+        raise HftError("the output holds a number of more than %d digits"
+                       % sys.get_int_max_str_digits()) from None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -252,49 +260,49 @@ def _run_vertex(args) -> int:
     else:
         series = assemble_vertex(args.rank, args.twist, args.order,
                                  args.mode, spec)
-    return _emit(args, series.to_json(), series.text)
+    return _emit(args, series.to_json, series.text)
 
 
 _WS_COLUMNS = ("character", "paper", "closed_form",
                "difference_from_reference")
+# one row of the text output, once the weight sums of the row are rendered
+_ROW_TEXT = (
+    "k = %(k)d\n"
+    "  character:   %(character)s\n"
+    "  paper:       %(paper)s\n"
+    "  closed form: %(closed_form)s\n"
+    "  character == paper: %(character_equals_paper)s, character == closed "
+    "form: %(character_equals_closed_form)s\n"
+    "  difference from reference: %(difference_from_reference)s")
 
 
 def _run_compare(args) -> int:
     _check_size(args)
     spec = parse_specialization(args.rank, args.specialize)
     rows = compare_rows(args.rank, args.twist, args.order, spec)
-    # one form cache per output, as in VertexSeries.to_json and text
-    lists: dict = {}
-    doc = {
-        "rank": args.rank,
-        "twist": args.twist,
-        "order": args.order,
-        "specialization": spec.source,
-        "rows": [{**row, **{c: _ws_json(row[c], lists)
-                            for c in _WS_COLUMNS}}
-                 for row in rows],
-    }
+
+    def doc() -> dict:
+        # one form cache per output, as in VertexSeries.to_json and text
+        lists: dict = {}
+        return {
+            "rank": args.rank,
+            "twist": args.twist,
+            "order": args.order,
+            "specialization": spec.source,
+            "rows": [{**row, **{c: _ws_json(row[c], lists)
+                                for c in _WS_COLUMNS}}
+                     for row in rows],
+        }
 
     def text() -> str:
         forms: dict = {}
-        lines = []
-        for row in rows:
-            lines.append("k = %d" % row["k"])
-            lines.append("  character:   %s"
-                         % _ws_text(row["character"], forms))
-            lines.append("  paper:       %s" % _ws_text(row["paper"], forms))
-            lines.append("  closed form: %s"
-                         % _ws_text(row["closed_form"], forms))
-            lines.append("  character == paper: %s, character == closed "
-                         "form: %s" % (row["character_equals_paper"],
-                                       row["character_equals_closed_form"]))
-            lines.append("  difference from reference: %s"
-                         % _ws_text(row["difference_from_reference"], forms))
-        return "\n".join(lines)
+        return "\n".join(_ROW_TEXT % {**row, **{
+            c: _ws_text(row[c], forms) for c in _WS_COLUMNS}} for row in rows)
     return _emit(args, doc, text)
 
 
 def _run_partition(args) -> int:
+    _check_size(args)
     counts = _load_json(args.p_file)
     if not isinstance(counts, dict):
         raise UsageError("count file must be a JSON object")
@@ -308,7 +316,7 @@ def _run_partition(args) -> int:
                            % (m, sys.get_int_max_str_digits())) from None
     doc = {"rank": args.rank, "twist": args.twist,
            "order": args.order, "counts": pairs}
-    return _emit(args, doc, lambda: "\n".join(
+    return _emit(args, lambda: doc, lambda: "\n".join(
         "q^%d: %s" % (m, c) for m, c in pairs) or "0")
 
 
@@ -322,7 +330,7 @@ def _run_stability(args) -> int:
         doc["limit_stable"] = limit_stable
         doc["cokernel_zero_dimensional"] = coker_zero
         doc["limit_agrees"] = limit_stable == coker_zero
-    return _emit(args, doc, lambda: "\n".join(
+    return _emit(args, lambda: doc, lambda: "\n".join(
         "%s: %s" % item for item in doc.items()))
 
 

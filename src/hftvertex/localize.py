@@ -150,7 +150,7 @@ class WeightFunction:
         """Exact value at a rational parameter point.
 
         The point is written as integers over one common denominator m
-        and goes through the integer kernel ``value_parts``.  Every
+        and goes through the integer kernel ``_value_parts``.  Every
         factor is homogeneous of degree one, so m cancels except for its
         power ``len(den) - len(num)``, applied once at the end.
         """
@@ -158,7 +158,7 @@ class WeightFunction:
         if len(ipt) != 3 + self.rank:
             raise VariableSetMismatch(
                 "point of length %d for rank %d" % (len(ipt), self.rank))
-        top, bottom = value_parts((self,), ipt)
+        top, bottom = _value_parts((self,), ipt)
         if not bottom:
             f = next(f for f in self.den if not sum(map(mul, f, ipt)))
             raise DivisionByZero(
@@ -229,11 +229,11 @@ def _cleared(point: Sequence[Fraction | int]) -> tuple[list[int], int]:
     return [x.numerator * (m // x.denominator) for x in pt], m
 
 
-def value_parts(items: Sequence[WeightFunction],
-                point: Sequence[int]) -> tuple[int, int]:
+def _value_parts(items: Sequence[WeightFunction],
+                 point: Sequence[int]) -> tuple[int, int]:
     """Numerator and denominator of the value of a sum of weight
-    functions at an integer point, as integers: one integer dot product
-    per factor, no ``Fraction`` on the way.  The denominator is zero
+    functions at an integer point: integer dot products, each term added
+    over the lcm of the denominators so far.  The denominator is zero
     exactly when a denominator factor of some term vanishes there."""
     top, bottom = 0, 1
     for wf in items:
@@ -245,7 +245,8 @@ def value_parts(items: Sequence[WeightFunction],
             d *= sum(map(mul, f, point))
         if not d:
             return 0, 0
-        top, bottom = top * d + n * bottom, bottom * d
+        common = lcm(bottom, d)
+        top, bottom = top * (common // bottom) + n * (common // d), common
     return top, bottom
 
 

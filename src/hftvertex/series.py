@@ -7,10 +7,10 @@ values: canonical tuples of weight functions, one per factor data, in
 sorted order.  A sum sorts its terms by factor data and merges equal
 neighbours, adding scalars only where two terms share their forms.
 Exact equality of two weight sums is decided in two exact steps:
-integer evaluation at a few fixed points, where differing values prove
-the sums unequal, then, only when every point agrees, expansion of the
-difference over the least common denominator of its terms, in integers:
-sparse dicts from exponent vectors to integer coefficients.
+integer evaluation at a few fixed points, each sum over the lcm of its
+terms' denominators, where differing values prove the sums unequal,
+then, only when every point agrees, integer expansion of their
+canonical difference, where shared terms cancel, over its lcd.
 
 At a fixed point the frame splits into r summands, and a contribution
 is the product of the summands' shares.  So all three series here are
@@ -43,7 +43,7 @@ from .chars import HftError, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
                        _check_mode, _product, _wf_json, _wf_text,
-                       contribution, specialize, value_parts,
+                       _value_parts, contribution, specialize,
                        weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
@@ -66,14 +66,8 @@ def weight_sum(rank: int, items: Sequence[WeightFunction]) -> WeightSum:
     stays canonical under a new nonzero scalar, so a merged group
     becomes a term directly, and a term alone in its group is kept as
     it is."""
-    terms: list[WeightFunction] = []
-    for wf in items:
-        if wf.rank != rank:
-            raise InvalidModel(
-                "weight function of rank %d in a sum of rank %d"
-                % (wf.rank, rank))
-        if wf.scalar:
-            terms.append(wf)
+    _check_ranks(rank, items)
+    terms = [wf for wf in items if wf.scalar]
     terms.sort(key=operator.attrgetter("num", "den"))
     out: list[WeightFunction] = []
     i, n = 0, len(terms)
@@ -90,6 +84,19 @@ def weight_sum(rank: int, items: Sequence[WeightFunction]) -> WeightSum:
                 out.append(WeightFunction(rank, scalar, wf.num, wf.den))
         i = j
     return tuple(out)
+
+
+def _check_ranks(rank: int, items: Sequence[WeightFunction]) -> None:
+    for wf in items:
+        if wf.rank != rank:
+            raise InvalidModel(
+                "weight function of rank %d in a sum of rank %d"
+                % (wf.rank, rank))
+
+
+def _difference(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:
+    """The canonical sum ``a - b``: the terms the two share cancel."""
+    return weight_sum(rank, [*a, *(wf.scaled(-1) for wf in b)])
 
 
 def ws_unit(rank: int) -> WeightSum:
@@ -142,38 +149,30 @@ def _evaluation_points(rank: int) -> list[tuple[int, ...]]:
 
 
 def eq_weight_sum(rank: int, a: WeightSum, b: WeightSum) -> bool:
-    """Exact value equality of two weight sums, in two exact steps.
-
-    Identical canonical sums are equal and need no step.  Otherwise both
-    sums are first evaluated in integers at the fixed points of
-    ``_evaluation_points``, skipping a point where a denominator factor
-    vanishes.  Values that differ at a point prove the sums unequal;
-    this decides almost every unequal pair at a cost linear in the
-    number of factors.  When every point agrees, the difference is put
-    over the least common denominator of all terms, the scalars are
-    cleared by the lcm of their denominators, and the numerator, an
-    integer polynomial in the parameters, is expanded and compared with
-    zero.  Forms are canonical and primitive, so that denominator is
-    the multiset maximum of the terms' denominators; the expansion grows
-    with its factor count, not with the product of all factor counts.
-    """
+    """Exact value equality of two weight sums whose terms must all have
+    rank ``rank``.  Unless the sums are identical, each is evaluated in
+    integers at ``_evaluation_points``, skipping a point where a
+    denominator factor vanishes; differing values prove them unequal.
+    When every point agrees, the canonical difference ``a - b`` is
+    expanded in integers over its least common denominator."""
+    _check_ranks(rank, (*a, *b))
     if a == b:
         return True
     for point in _evaluation_points(rank):
-        top_a, bottom_a = value_parts(a, point)
-        top_b, bottom_b = value_parts(b, point)
+        top_a, bottom_a = _value_parts(a, point)
+        top_b, bottom_b = _value_parts(b, point)
         if bottom_a and bottom_b and top_a * bottom_b != top_b * bottom_a:
             return False
+    diff = _difference(rank, a, b)
     lcd: Counter = Counter()
-    for wf in (*a, *b):
+    for wf in diff:
         lcd |= Counter(wf.den)
-    scale = lcm(*(wf.scalar.denominator for wf in (*a, *b)))
+    scale = lcm(*(wf.scalar.denominator for wf in diff))
     total: Counter = Counter()
-    for sign, terms in ((scale, a), (-scale, b)):
-        for wf in terms:
-            coeff = wf.scalar.numerator * (sign // wf.scalar.denominator)
-            rest = (lcd - Counter(wf.den)).elements()
-            total.update(_expanded(3 + rank, coeff, (*wf.num, *rest)))
+    for wf in diff:
+        coeff = wf.scalar.numerator * (scale // wf.scalar.denominator)
+        rest = (lcd - Counter(wf.den)).elements()
+        total.update(_expanded(3 + rank, coeff, (*wf.num, *rest)))
     return not any(total.values())
 
 
@@ -422,35 +421,25 @@ def reference_series(rank: int, twist: int, order: int
 
 def compare_rows(rank: int, twist: int, order: int,
                  spec: Specialization | None = None) -> list[dict]:
-    """Per order comparison of the two contribution modes and the
-    closed form.
-
-    Each row carries the three coefficient values, equality flags of
-    the character column against the other two, and the exact
-    difference of the character column from the scalar reference series
-    of ``reference_series``.  Nothing is asserted here; disagreements
-    are data.
-    """
+    """Per order comparison of the two contribution modes and the closed
+    form: each row carries the three coefficient values, equality flags
+    of the character column against the other two, and the exact
+    difference of the character column from ``reference_series``.
+    Nothing is asserted here; disagreements are data."""
     char = assemble_vertex(rank, twist, order, "character", spec)
     paper = assemble_vertex(rank, twist, order, "paper", spec)
     closed = closed_form_series(rank, twist, order, spec)
     ref = reference_series(rank, twist, order)
-    rows = []
-    for k in range(order + 1):
-        c = char.coefficients[k]
-        p = paper.coefficients[k]
-        f = closed.coefficients[k]
-        rows.append({
-            "k": k,
-            "character": c,
-            "paper": p,
-            "closed_form": f,
-            "character_equals_paper": eq_weight_sum(rank, c, p),
-            "character_equals_closed_form": eq_weight_sum(rank, c, f),
-            "difference_from_reference": weight_sum(
-                rank, [*c, *(wf.scaled(-1) for wf in ref[k])]),
-        })
-    return rows
+    return [{
+        "k": k,
+        "character": c,
+        "paper": p,
+        "closed_form": f,
+        "character_equals_paper": eq_weight_sum(rank, c, p),
+        "character_equals_closed_form": eq_weight_sum(rank, c, f),
+        "difference_from_reference": _difference(rank, c, r),
+    } for k, (c, p, f, r) in enumerate(zip(
+        char.coefficients, paper.coefficients, closed.coefficients, ref))]
 
 
 CountSeries = dict[int, Fraction]
@@ -485,9 +474,9 @@ def count_series(data: Mapping) -> CountSeries:
 def hft_partition(counts: Mapping, twist: int, rank: int,
                   order: int) -> CountSeries:
     """Generating series of the twisted rank r theory built from a one
-    summand count series: reindex degrees by the twist, clear the
-    denominators by their lcm L, convolve rank times in integers up to
-    the order, and divide each coefficient by L^rank.
+    summand count series: reindex degrees by the twist up to the order,
+    clear the denominators by their lcm L, convolve rank times in
+    integers, and divide each coefficient by L^rank.
 
     The counts go through ``count_series`` first, which raises
     ``InvalidCounts`` on a bad entry.  Twist zero collapses the
@@ -502,7 +491,8 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     base: CountSeries = {}
     for m, c in count_series(counts).items():
         key = twist * m
-        base[key] = base.get(key, Fraction(0)) + c
+        if key <= order:
+            base[key] = base.get(key, Fraction(0)) + c
     scale = lcm(*(c.denominator for c in base.values()))
     cleared = {m: c.numerator * (scale // c.denominator)
                for m, c in base.items() if c}

@@ -338,6 +338,20 @@ def test_coefficient_past_the_digit_limit_exits_one(tmp_path, capsys, fmt):
     assert err == "error: coefficient of q^0 has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "vertex --order 2 --twist " + "9" * 4000,
+    "vertex --order 2 --format json --twist " + "9" * 4000,
+    "compare --rank 2 --order 2 --specialize s1=%s*s2" % ("9" * 4000)],
+    ids=["vertex_text", "vertex_json", "compare"])
+def test_output_number_past_the_digit_limit_exits_one(capsys, argv):
+    # the series reads in, but a scalar of its output has more digits
+    # than str() prints; this printed a traceback
+    code, out, err = run(capsys, argv.split())
+    assert code == 1 and out == ""
+    assert err == "error: the output holds a number of more than 4300 " \
+        "digits\n"
+
+
 @pytest.mark.parametrize("term", ["9" * 5000, "1/%s*s1" % ("9" * 5000)],
                          ids=["constant", "coefficient"])
 def test_specialize_number_past_the_digit_limit_exits_two(capsys, term):
@@ -410,6 +424,38 @@ def test_series_at_the_size_limit_run(capsys):
     for argv in ("vertex --rank 3 --order 11", "vertex --rank 16 --order 2"):
         code, out, err = run(capsys, argv.split())
         assert code == 0 and err == "", argv
+
+
+def test_partition_past_the_size_limit_exits_two_at_once(tmp_path, capsys):
+    # --rank 1000000000 built a list of a billion references first
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"0": "3/2", "1": -1}))
+    for args, message in (
+            ("--rank 1000000000", "rank 1000000000 is past the limit of 16"),
+            ("--rank 17 --order 0", "rank 17 is past the limit of 16"),
+            ("--order 1001", "order 1001 is past the limit of 1000"),
+            ("--rank 2 --order 99999999999999999999999",
+             "order 99999999999999999999999 is past the limit of 1000")):
+        argv = ["partition", "--p-file", str(counts), *args.split()]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and out == "", argv
+        assert err == "error: %s\n" % message, argv
+
+
+def test_partition_at_the_size_limit_runs(tmp_path, capsys):
+    # a dense count file: every degree up to the order carries a count
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(
+        {str(m): "%d/%d" % ((-1) ** m * (1 + m % 9), 1 + m % 6)
+         for m in range(1001)}))
+    code, out, err = run(capsys, [
+        "partition", "--p-file", str(counts), "--rank", "16",
+        "--order", "1000"])
+    assert code == 0 and err == ""
+    assert out.startswith("q^0: 1\nq^1: -16\nq^2: 136\n")
+    assert out.count("\n") == 1001
 
 
 def test_small_rational_strings_are_still_read(tmp_path, capsys):

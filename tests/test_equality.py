@@ -1,15 +1,17 @@
 """Exact equality of weight sums and exact evaluation of weight functions.
 
-``series.eq_weight_sum`` first tries to disprove equality by integer
-evaluation at a few fixed points and only then expands, in integers,
-over the least common denominator.  ``WeightFunction.evaluate`` clears
-the point's denominators once and works in integers.  Both are checked
-here against the slow roads kept in ``tests/oracles.py``, against sympy
-where it is installed, and on sums built so that evaluation cannot
-decide them: sums split into equal but non-identical ones, whose
-equality only the integer expansion proves.  ``weight_sum`` builds its
-terms without canonicalizing them again; a property checks that they
-are already canonical.
+``series.eq_weight_sum`` refuses a term of another rank, then tries to
+disprove equality by integer evaluation at a few fixed points, each sum
+added over the lcm of its terms' denominators, and only then expands
+the canonical difference of the two sums, in integers, over its least
+common denominator, so terms the sums share cancel first.
+``WeightFunction.evaluate`` clears the point's denominators once and
+works in integers.  Both are checked here against the slow roads kept
+in ``tests/oracles.py``, against sympy where it is installed, and on
+sums built so that evaluation cannot decide them: sums split into equal
+but non-identical ones, whose equality only the integer expansion
+proves.  ``weight_sum`` builds its terms without canonicalizing them
+again; a property checks that they are already canonical.
 """
 
 import time
@@ -19,9 +21,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hftvertex.localize import (DivisionByZero, param_names,
-                                parse_specialization, value_parts,
-                                weight_function)
+from hftvertex.fixedpoints import InvalidModel
+from hftvertex.localize import (DivisionByZero, _value_parts, param_names,
+                                parse_specialization, weight_function)
 from hftvertex.series import (_evaluation_points, compare_rows,
                               eq_weight_sum, weight_sum)
 from oracles import eq_weight_sum_expanded, evaluate_fraction
@@ -154,6 +156,48 @@ def test_eq_weight_sum_proves_partial_fractions(data):
     assert not eq_weight_sum(rank, squared, whole)
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_eq_weight_sum_matches_full_expansion_on_shared_terms(data):
+    # both sums carry the same terms, which cancel in the difference,
+    # and differ by a partial fraction split, equal or perturbed
+    rank = data.draw(st.integers(1, 2))
+    x = data.draw(_forms(rank))
+    y = data.draw(_forms(rank).filter(
+        lambda y: any(a + b for a, b in zip(x, y))))
+    shared = data.draw(st.lists(weight_functions(rank, max_factors=1),
+                                max_size=2))
+    split, whole, doubled = _partial_fraction_pair(rank, x, y, shared)
+    b = data.draw(st.sampled_from([whole, doubled]))
+    assert eq_weight_sum(rank, split, b) == \
+        eq_weight_sum_expanded(rank, split, b) == (b is whole)
+
+
+def test_value_parts_keeps_one_denominator_for_shared_forms():
+    # 200 terms over the one form v1, whose value at the point is 10^12:
+    # a running product of the denominators would have 2,401 digits
+    point = _evaluation_points(1)[0]
+    terms = [weight_function(1, k, [], [(0, 0, 0, 1)])
+             for k in range(1, 201)]
+    top, bottom = _value_parts(terms, point)
+    assert bottom == 10**12
+    assert top == sum(range(1, 201))
+
+
+def test_eq_weight_sum_refuses_a_term_of_another_rank():
+    # a rank two form (1, 0, 0, 0, 1) read at a rank one point would
+    # lose its v2 entry, and the expansion would index past the end
+    x, y = (1, 0, 0, 0, 1), (0, 1, 0, 0, 0)
+    split, whole, doubled = _partial_fraction_pair(2, x, y)
+    one = weight_sum(1, [weight_function(1, 1, [], [(1, 0, 0, 0)])])
+    for a, b in ((split, whole), (split, doubled), (whole, whole),
+                 (one, whole), (whole, one)):
+        with pytest.raises(InvalidModel) as err:
+            eq_weight_sum(1, a, b)
+        assert str(err.value) == \
+            "weight function of rank 2 in a sum of rank 1"
+
+
 def _det3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -179,7 +223,7 @@ def test_symbolic_step_decides_when_every_point_is_singular():
     split, whole, doubled = _partial_fraction_pair(1, x, y)
     for p in points:
         for ws in (split, whole, doubled):
-            assert value_parts(ws, p)[1] == 0
+            assert _value_parts(ws, p)[1] == 0
     assert eq_weight_sum(1, split, whole)
     assert not eq_weight_sum(1, split, doubled)
     assert eq_weight_sum_expanded(1, split, whole)

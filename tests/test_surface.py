@@ -34,7 +34,7 @@ PUBLIC = {
         "NonIntegerMultiplicity", "Specialization", "SpecializationSyntax",
         "WeightForm", "WeightFunction", "ZeroWeight", "contribution",
         "form_text", "param_names", "parse_specialization", "specialize",
-        "value_parts", "weight_function", "weights_of"},
+        "weight_function", "weights_of"},
     "hftvertex.series": {
         "BinomialIneligible", "CountSeries", "InvalidCounts", "VertexSeries",
         "WeightSum", "assemble_vertex", "binomial_series",
