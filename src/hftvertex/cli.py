@@ -18,12 +18,14 @@ import json
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .chars import HftError
 from .fixedpoints import (FrozenTripleModel, InvalidModel, hilbert_poly,
                           limit_stable_equiv, tau_stability_check)
-from .localize import SpecializationSyntax, parse_specialization
+from .localize import (Specialization, SpecializationSyntax,
+                       parse_specialization)
 from .series import (InvalidCounts, _ws_json, _ws_text, assemble_vertex,
                      closed_form_series, compare_rows, hft_partition)
 
@@ -51,12 +53,15 @@ _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
 # Size limits: the work of ``vertex`` and ``compare`` grows with the
-# number C(order + rank, rank) of first leg fixed points and with the
-# rank, that of ``partition`` with the rank and the order squared.  At
-# the limits each run takes seconds; past them, it could take minutes.
+# number C(order + rank, rank) of first leg fixed points, the rank and
+# the digits of the twist and the specialization, whose parsing takes
+# seconds at 100,000 characters; that of ``partition`` with the rank and
+# the order squared.  At the limits each run takes seconds.
 _MAX_RANK = 16
 _MAX_FIXED_POINTS = 400
 _MAX_PARTITION_ORDER = 1000
+_MAX_DIGITS = 20
+_MAX_SPECIALIZE_CHARS = 10_000
 
 
 def _check_size(args) -> None:
@@ -252,9 +257,27 @@ def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> int:
     return 0
 
 
-def _run_vertex(args) -> int:
+def _series_spec(args) -> Specialization:
+    """The specialization of a ``vertex`` or ``compare`` run inside the
+    size limits, which also bound the twist, the specialization's length
+    and the digits of every integer of its compiled map."""
     _check_size(args)
+    if args.twist >= 10 ** _MAX_DIGITS:
+        raise UsageError("the twist has more than %d digits" % _MAX_DIGITS)
+    if len(args.specialize) > _MAX_SPECIALIZE_CHARS:
+        raise UsageError("the specialization has more than %d characters"
+                         % _MAX_SPECIALIZE_CHARS)
     spec = parse_specialization(args.rank, args.specialize)
+    numbers = (spec.denominator, *chain(*spec.columns))
+    if max(map(abs, numbers)) >= 10 ** _MAX_DIGITS:
+        raise UsageError(
+            "the specialization, composed over one common denominator, "
+            "has a number of more than %d digits" % _MAX_DIGITS)
+    return spec
+
+
+def _run_vertex(args) -> int:
+    spec = _series_spec(args)
     if args.mode == "closed_form":
         series = closed_form_series(args.rank, args.twist, args.order, spec)
     else:
@@ -277,8 +300,7 @@ _ROW_TEXT = (
 
 
 def _run_compare(args) -> int:
-    _check_size(args)
-    spec = parse_specialization(args.rank, args.specialize)
+    spec = _series_spec(args)
     rows = compare_rows(args.rank, args.twist, args.order, spec)
 
     def doc() -> dict:

@@ -2,33 +2,28 @@
 
 A character monomial determines a linear weight in the equivariant
 parameters s1, s2, s3, v1, ..., vr: the exponent vector read off as
-coefficients.  The fixed point contribution is a product of such linear
-forms divided by another such product, stored exactly as a
-``WeightFunction``: a rational scalar together with two sorted multisets
-of primitive integer forms, built in integer arithmetic.  Two
-contributions are equal exactly when their canonical forms coincide.
-Canonical forms compose without being canonicalized again: a product
-multiplies the scalars, merges the sorted factor tuples and cancels the
-factors now shared by numerator and denominator, and a rescaling
-changes the scalar only.
+coefficients.  A fixed point contribution is a ``WeightFunction``: a
+rational scalar times a sorted multiset of primitive integer forms over
+another, built in integer arithmetic, so two contributions are equal
+exactly when their canonical forms coincide.  Canonical forms compose
+without being canonicalized again: a product merges the sorted factors
+and cancels the ones now shared by numerator and denominator, a
+rescaling changes the scalar only, and an exchange of two frame
+parameters permutes entries and fixes signs.
 
-At a fixed point the frame splits into r summands and the character
-into their shares, so the Euler class of its negative is the product
-of the summands' Euler classes.  Each share of a summand that carries
-boxes is canonicalized once, and the contribution is the product of
-the shares; since the canonical form is unique, that product is the
-very weight function the whole character gives.
+At a fixed point the frame splits into r interchangeable summands, and
+the contribution is the product of the summands' shares.  ``_share``
+builds the canonical share of the last summand, in either mode, and
+``_exchanged`` turns it into the share of summand j by exchanging v_j
+and v_r; ``contribution`` and the series road both take this one road.
 
 Specializations substitute affine rational expressions for parameters,
-for example the Calabi Yau slice s3 = -s1 - s2.  A specialization is
-only its compiled map: parsing composes each assignment, as it reads
-it, into the images of the unit forms, and clears them to integers
-over a common denominator, so each factor specializes by integer dot
-products.  The source text is kept for display and is empty exactly
-for the identity.
-A specialized factor either stays a genuine linear form, collapses to a
-nonzero constant that folds into the scalar, or collapses to zero,
-which is an error that names the offending configuration.
+for example the Calabi Yau slice s3 = -s1 - s2.  Parsing composes the
+assignments into the images of the unit forms and clears them to
+integers over a common denominator, so each factor specializes by
+integer dot products.  A specialized factor stays a linear form,
+collapses to a nonzero constant that folds into the scalar, or
+collapses to zero, which is an error that names the configuration.
 """
 
 from __future__ import annotations
@@ -366,71 +361,69 @@ def weights_of(poly: LaurentPoly) -> list[tuple[int, WeightForm]]:
     return out
 
 
-def _cross_shifts(rank: int, j: int) -> tuple[list[int], list[int]]:
-    """Frame parts of the printed factor formulas, as coefficient
-    vectors over (s1, s2, s3, v1, ..., vr).
-
-    Rank one has no frame shifts.  Rank two shifts the numerator factors
-    by the difference of the other frame parameter with the own one, and
-    the denominator factors by the opposite difference.  Above rank two
-    the printed general form is used verbatim: the numerator shift is
-    the sum of all frame parameters minus the own one, the denominator
-    shift the own one plus the alternating sign of the full sum.
-    """
-    num = [0] * (3 + rank)
-    den = [0] * (3 + rank)
-    if rank == 1:
-        return num, den
-    if rank == 2:
-        other = 1 - j
-        num[3 + other] += 1
-        num[3 + j] -= 1
-        den[3 + j] += 1
-        den[3 + other] -= 1
-        return num, den
-    alt = 1 if (rank - 1) % 2 == 0 else -1
-    for l in range(rank):
-        num[3 + l] += 1
-        den[3 + l] += alt
-    num[3 + j] -= 1
-    den[3 + j] += 1
-    return num, den
-
-
-def _paper_factors(rank: int, j: int, load: int, twist: int
+def _paper_factors(rank: int, load: int, twist: int
                    ) -> tuple[list[list[int]], list[list[int]]]:
-    """Numerator and denominator factors of the printed formula for
-    frame summand j carrying ``load`` boxes on its two legs together."""
-    cross_num, cross_den = _cross_shifts(rank, j)
-    nums: list[list[int]] = []
-    dens: list[list[int]] = []
-    for i in range(load):
-        f = list(cross_num)
-        f[0] += i + twist
-        f[1] -= 1
-        f[2] -= 1
-        nums.append(f)
-    for i in range(1, load + 1):
-        f = list(cross_den)
-        f[0] -= i + twist
-        dens.append(f)
+    """Numerator and denominator factors of the printed formula for the
+    last frame summand with ``load`` boxes on its two legs together.
+    Its frame shifts, numerator over denominator, are none at rank one,
+    ``v1 - v2`` over ``v2 - v1`` at rank two, and above, verbatim,
+    ``v1 + ... + v(r-1)`` over ``vr + (-1)^(r-1) (v1 + ... + vr)``."""
+    num = den = [0] * rank
+    if rank == 2:
+        num, den = [1, -1], [-1, 1]
+    elif rank > 2:
+        alt = 1 if rank % 2 else -1
+        num = [1] * (rank - 1) + [0]
+        den = [alt] * (rank - 1) + [alt + 1]
+    nums = [[i + twist, -1, -1] + num for i in range(load)]
+    dens = [[-i - twist, 0, 0] + den for i in range(1, load + 1)]
     return nums, dens
 
 
-def _summand_factors(vars: VariableSet, j: int, alpha: int, beta: int,
-                     twist: int, mode: str) -> tuple[list, list]:
-    """Numerator and denominator factors of the share of frame summand j
-    with ``alpha`` and ``beta`` boxes on the two legs."""
+def _share(vars: VariableSet, alpha: int, beta: int, twist: int,
+           mode: str, context: str) -> WeightFunction:
+    """Canonical share of the last frame summand with ``alpha`` and
+    ``beta`` boxes on its two legs.  In character mode it is the Euler
+    class of the negative of the character of the fixed point with no
+    other boxes: negative weights multiply, positive weights divide."""
     if mode == "paper":
-        return _paper_factors(vars.rank, j, alpha + beta, twist)
-    zeros = [0] * vars.rank
-    part = BoxTuple(zeros[:j] + [alpha] + zeros[j + 1:],
-                    zeros[:j] + [beta] + zeros[j + 1:])
-    weights = weights_of(total_character(vars, part, twist))
-    # the Euler class of the negative: negative weights multiply,
-    # positive weights divide
-    return ([f for sign, f in weights if sign < 0],
-            [f for sign, f in weights if sign > 0])
+        nums, dens = _paper_factors(vars.rank, alpha + beta, twist)
+    else:
+        zeros = (0,) * (vars.rank - 1)
+        weights = weights_of(total_character(
+            vars, BoxTuple(zeros + (alpha,), zeros + (beta,)), twist))
+        nums = [f for sign, f in weights if sign < 0]
+        dens = [f for sign, f in weights if sign > 0]
+    return weight_function(vars.rank, 1, nums, dens, context)
+
+
+def _exchanged(wf: WeightFunction, j: int) -> WeightFunction:
+    """``wf`` with the frame parameters of summands j and r exchanged.
+
+    The exchange permutes the entries of each form, which stays
+    primitive.  It moves no torus entry, so only a form with no torus
+    part can see its first nonzero entry turn negative; such a form is
+    negated, and each negation flips the sign of the scalar.  Sorting
+    the two sides then gives the canonical form.  Nothing cancels: on
+    canonical forms the map is injective, so forms that were distinct
+    stay distinct."""
+    k, r = 3 + j, 2 + wf.rank
+    if k == r:
+        return wf
+    sign = 1
+    sides = []
+    for forms in (wf.num, wf.den):
+        out = []
+        for f in forms:
+            g = f[:k] + f[r:] + f[k + 1:r] + f[k:k + 1]
+            if not (g[0] or g[1] or g[2]) and next(x for x in g if x) < 0:
+                g = tuple([-x for x in g])
+                sign = -sign
+            out.append(g)
+        out.sort()
+        sides.append(tuple(out))
+    return WeightFunction(wf.rank, wf.scalar if sign > 0 else -wf.scalar,
+                          *sides)
 
 
 def _check_mode(mode: str) -> None:
@@ -442,26 +435,14 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
                  mode: str = "character") -> WeightFunction:
     """Localization contribution of one fixed point.
 
-    Mode ``character`` derives the weights from the closed form
-    character of the fixed point, a finite sum of monomials built with
-    no division, and takes the Euler class of its negative.  Mode ``paper`` evaluates the printed per summand factor
-    formulas instead; the two modes agree in rank one at twist zero and
-    are both kept so their outputs can be compared elsewhere.
-
-    Both are products over the frame summands that carry boxes.  The
-    character of a fixed point is the sum of its summands' shares, each
-    the character of the fixed point that keeps only that summand's
-    boxes, since the blocks of an empty summand are zero.  The Euler
-    class of a negative sum is the product of the Euler classes, so
-    each share is canonicalized by one ``weight_function`` call whose
-    errors name the fixed point at hand, and the contribution is the
-    product of the shares: their scalars multiply, their sorted factors
-    merge, and a weight that one share adds and another takes away
-    cancels as a shared factor.  The canonical form is unique, so the
-    result is the one the whole character gives.  A caller that needs
-    the same share at many fixed points, as ``assemble_vertex`` does,
-    builds it once as the contribution of the fixed point with one
-    summand and multiplies.
+    Mode ``character`` takes the Euler class of the negative of the
+    closed form character of the fixed point; mode ``paper`` evaluates
+    the printed per summand factor formulas.  The two agree in rank one
+    at twist zero and are both kept so their outputs can be compared.
+    Either is the product, over the summands j that carry boxes, of the
+    last summand's share with as many boxes exchanged to summand j; the
+    canonical form is unique, so it is the weight function the whole
+    character gives.  Errors name the fixed point at hand.
     """
     if box.rank != vars.rank:
         raise VariableSetMismatch(
@@ -469,11 +450,10 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
             % (box.rank, vars.rank))
     _check_mode(mode)
     context = "contribution of %r at twist %d" % (box, twist)
-    shares = [weight_function(vars.rank, 1, *_summand_factors(
-                  vars, j, alpha, beta, twist, mode), context)
-              for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta))
-              if alpha or beta]
-    return _product(vars.rank, shares)
+    return _product(vars.rank, [
+        _exchanged(_share(vars, alpha, beta, twist, mode, context), j)
+        for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta))
+        if alpha or beta])
 
 
 @dataclass(frozen=True)

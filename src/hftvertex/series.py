@@ -12,28 +12,20 @@ terms' denominators, where differing values prove the sums unequal,
 then, only when every point agrees, integer expansion of their
 canonical difference, where shared terms cancel, over its lcd.
 
-At a fixed point the frame splits into r summands, and a contribution
-is the product of the summands' shares.  So all three series here are
-convolution products of one summand series, truncated at the order:
-``assemble_vertex`` multiplies the r leg series of the frame summands,
-whose coefficient a is the share of that summand with a boxes on the
-first leg; ``closed_form_series`` raises a one line binomial series to
-the rank power; and ``hft_partition`` turns a count series of box
-configurations into the generating series of a twisted rank r theory by
-reindexing it by the twist first.  One helper computes that product for
-all three, on weight sums and on counts cleared to integers alike, and
-sums the products of each degree once.  The frame summands are
-interchangeable, so leg series j is leg series r with v_j and v_r
-exchanged: one share is built per order, and each is specialized on its own.
-The exchange permutes the entries of each canonical form and fixes the
-signs, so it needs no new canonical form.
+All three series here are convolution products of one summand series,
+truncated at the order, which one helper computes on weight sums and on
+counts cleared to integers alike: ``assemble_vertex`` multiplies the leg
+series of the r frame summands, whose coefficients are the first leg
+shares of ``localize``, exchanged from the last summand; the others
+raise a one line binomial series, or a count series reindexed by the
+twist, to the rank power.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -42,8 +34,8 @@ from typing import TypeVar
 from .chars import HftError, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       _check_mode, _product, _wf_json, _wf_text,
-                       _value_parts, contribution, specialize,
+                       _check_mode, _exchanged, _product, _wf_json,
+                       _wf_text, _value_parts, contribution, specialize,
                        weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
@@ -57,7 +49,7 @@ class BinomialIneligible(HftError):
 
 class InvalidCounts(InvalidModel):
     """A count series entry is not a nonnegative integer degree with an
-    exact rational count."""
+    exact rational count, or the series is past its size budget."""
 
 
 def weight_sum(rank: int, items: Sequence[WeightFunction]) -> WeightSum:
@@ -234,17 +226,13 @@ def assemble_vertex(rank: int, twist: int, order: int,
     """Vertex series: coefficient k sums the contributions of the first
     leg strata with k boxes.  The order zero coefficient is one.
 
-    A contribution is the product of the shares of its frame summands,
-    so the series is the convolution product of the r leg series of the
-    summands: coefficient a of leg series j is the contribution of the
-    fixed point with a boxes on the first leg of summand j and none
-    elsewhere.  Only the share of summand r is built at each order; the
-    share of summand j is that one with v_j and v_r exchanged.  A
-    specialization, when given, applies to each share separately so
-    error messages can name the fixed point responsible.  Shares are
-    specialized for a ascending and, for each a, j descending, the order
-    in which they first appear among the strata in lexicographic order,
-    so the first share that fails is the one the strata would reach
+    The series is the convolution product of the r leg series of the
+    frame summands.  At each order a, the share of the last summand is
+    the contribution of the fixed point with a boxes there, and
+    ``_exchanged`` gives the share of each summand j.  A specialization
+    applies to each share separately, for a ascending and, for each a, j
+    descending: the order in which the lexicographic strata first reach
+    them, so an error names the fixed point the strata would reach
     first."""
     if rank < 1:
         raise InvalidModel("rank must be at least one")
@@ -258,9 +246,9 @@ def assemble_vertex(rank: int, twist: int, order: int,
         last = contribution(vars, BoxTuple(zeros[1:] + (a,), zeros),
                             twist, mode)
         for j in reversed(range(rank)):
-            box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
             wf = _exchanged(last, j)
             if spec is not None and not spec.is_trivial():
+                box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
                 wf = specialize(
                     wf, spec, "contribution of %r at twist %d"
                     % (box, twist))
@@ -269,35 +257,6 @@ def assemble_vertex(rank: int, twist: int, order: int,
     return VertexSeries(rank, twist, order, mode,
                         spec.source if spec is not None else "",
                         tuple(out.get(k, ()) for k in range(order + 1)))
-
-
-def _exchanged(wf: WeightFunction, j: int) -> WeightFunction:
-    """``wf`` with the frame parameters of summands j and r exchanged.
-
-    The exchange permutes the entries of each form, which stays
-    primitive.  It moves no torus entry, so only a form with no torus
-    part can see its first nonzero entry turn negative; such a form is
-    negated, and each negation flips the sign of the scalar.  Sorting
-    the two sides then gives the canonical form.  Nothing cancels: on
-    canonical forms the map is injective, so forms that were distinct
-    stay distinct."""
-    k, r = 3 + j, 2 + wf.rank
-    if k == r:
-        return wf
-    sign = 1
-    sides = []
-    for forms in (wf.num, wf.den):
-        out = []
-        for f in forms:
-            g = f[:k] + f[r:] + f[k + 1:r] + f[k:k + 1]
-            if not (g[0] or g[1] or g[2]) and next(x for x in g if x) < 0:
-                g = tuple([-x for x in g])
-                sign = -sign
-            out.append(g)
-        out.sort()
-        sides.append(tuple(out))
-    return WeightFunction(wf.rank, wf.scalar if sign > 0 else -wf.scalar,
-                          *sides)
 
 
 def _binomial_factor(exponent: WeightFunction, shift: int) -> WeightFunction:
@@ -451,6 +410,13 @@ def count_series(data: Mapping) -> CountSeries:
     such as ``"3/2"``), zero values dropped.  Floats and booleans are
     refused rather than converted."""
     out: CountSeries = {}
+    for m, c in _count_entries(data):
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _count_entries(data: Mapping) -> Iterator[tuple[int, Fraction]]:
+    """Degree and count of each entry with a nonzero count, in order."""
     for key, value in data.items():
         # refused before converting: Fraction of an infinite float raises
         # OverflowError
@@ -467,8 +433,14 @@ def count_series(data: Mapping) -> CountSeries:
         if m < 0:
             raise InvalidCounts("negative degree %d in a count series" % m)
         if c:
-            out[m] = out.get(m, Fraction(0)) + c
-    return {m: c for m, c in out.items() if c}
+            yield m, c
+
+
+# The size budget of a count file, about 45,000 decimal digits: over the
+# counts at or below the order, the bits of each numerator plus those of
+# the lcm L of their denominators, a bound on the counts cleared by L.
+# At the budget, the convolution at rank 16 and order 1000 takes seconds.
+_MAX_COUNT_BITS = 150_000
 
 
 def hft_partition(counts: Mapping, twist: int, rank: int,
@@ -478,9 +450,9 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     clear the denominators by their lcm L, convolve rank times in
     integers, and divide each coefficient by L^rank.
 
-    The counts go through ``count_series`` first, which raises
-    ``InvalidCounts`` on a bad entry.  Twist zero collapses the
-    reindexed series to a constant; an empty input gives the zero series.
+    A bad entry raises ``InvalidCounts``, as in ``count_series``, and so
+    does a file past ``_MAX_COUNT_BITS``, before any long arithmetic.
+    Twist zero collapses the series to a constant; empty input gives zero.
     """
     if rank < 1:
         raise InvalidModel("rank must be at least one")
@@ -488,13 +460,19 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
         raise InvalidModel("twist must be nonnegative")
     if order < 0:
         raise InvalidModel("order must be nonnegative")
-    base: CountSeries = {}
-    for m, c in count_series(counts).items():
-        key = twist * m
-        if key <= order:
-            base[key] = base.get(key, Fraction(0)) + c
-    scale = lcm(*(c.denominator for c in base.values()))
-    cleared = {m: c.numerator * (scale // c.denominator)
-               for m, c in base.items() if c}
-    out = _convolution([cleared] * rank, order, 1, operator.mul, sum)
+    entries = [(twist * m, c) for m, c in _count_entries(counts)
+               if twist * m <= order]
+    scale, bits = 1, 0
+    for i, (_, c) in enumerate(entries, 1):
+        scale = lcm(scale, c.denominator)
+        bits += c.numerator.bit_length()
+        if bits + i * scale.bit_length() > _MAX_COUNT_BITS:
+            raise InvalidCounts(
+                "the counts up to the order, over their least common "
+                "denominator, take more than %d bits" % _MAX_COUNT_BITS)
+    cleared: Counter = Counter()
+    for key, c in entries:
+        cleared[key] += c.numerator * (scale // c.denominator)
+    base = {m: n for m, n in cleared.items() if n}
+    out = _convolution([base] * rank, order, 1, operator.mul, sum)
     return {m: Fraction(c, scale**rank) for m, c in sorted(out.items()) if c}

@@ -29,9 +29,11 @@ denominators, and ``evaluate_fraction`` evaluates a weight function in
 The whole character road to a contribution is kept as well:
 ``contribution_whole`` takes the Euler class of the negative of the
 total character of the fixed point at once, or, in paper mode, the
-printed factors of all summands in one list.  The package takes the
-product over the frame summands instead.  So is the enumeration road to
-the vertex series: ``assemble_vertex_enumerated`` sums, order by order,
+printed factors of all summands in one list, each summand's factors
+shifted by its own row of ``paper_shifts``.  The package builds the
+share of the last frame summand only and exchanges frame parameters to
+get the others.  So is the enumeration road to the vertex series:
+``assemble_vertex_enumerated`` sums, order by order,
 the contribution of every first leg stratum listed by ``leg_strata``,
 where the package multiplies the leg series of the frame summands, and
 ``ws_mul`` multiplies two weight sums term by term.  The first roads of
@@ -79,7 +81,7 @@ from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
                                    InvalidModel, compositions, hilbert_poly)
 from hftvertex.localize import (AffineWeight, DivisionByZero, Specialization,
                                 WeightForm, WeightFunction, ZeroWeight,
-                                _cross_shifts, _parse_affine, _var_index,
+                                _parse_affine, _var_index,
                                 contribution, form_text, param_names,
                                 specialize, weight_function, weights_of)
 from hftvertex.series import (BinomialIneligible, VertexSeries, WeightSum,
@@ -469,6 +471,37 @@ def euler_of_minus(rank: int, weights: list[tuple[int, WeightForm]],
                            [f for sign, f in weights if sign > 0], context)
 
 
+def paper_shifts(rank: int, j: int) -> tuple[list[int], list[int]]:
+    """Frame parts of the printed factor formulas for frame summand j,
+    as coefficient vectors over (s1, s2, s3, v1, ..., vr).
+
+    Rank one has no frame shifts.  Rank two shifts the numerator factors
+    by the difference of the other frame parameter with the own one, and
+    the denominator factors by the opposite difference.  Above rank two
+    the printed general form is used verbatim: the numerator shift is
+    the sum of all frame parameters minus the own one, the denominator
+    shift the own one plus the alternating sign of the full sum.
+    """
+    num = [0] * (3 + rank)
+    den = [0] * (3 + rank)
+    if rank == 1:
+        return num, den
+    if rank == 2:
+        other = 1 - j
+        num[3 + other] += 1
+        num[3 + j] -= 1
+        den[3 + j] += 1
+        den[3 + other] -= 1
+        return num, den
+    alt = 1 if (rank - 1) % 2 == 0 else -1
+    for l in range(rank):
+        num[3 + l] += 1
+        den[3 + l] += alt
+    num[3 + j] -= 1
+    den[3 + j] += 1
+    return num, den
+
+
 def contribution_whole(vars: VariableSet, box: BoxTuple, twist: int,
                        mode: str = "character") -> WeightFunction:
     """Contribution of one fixed point from its whole character: the
@@ -483,7 +516,7 @@ def contribution_whole(vars: VariableSet, box: BoxTuple, twist: int,
     dens = []
     for j in range(vars.rank):
         load = box.alpha[j] + box.beta[j]
-        cross_num, cross_den = _cross_shifts(vars.rank, j)
+        cross_num, cross_den = paper_shifts(vars.rank, j)
         for i in range(load):
             f = list(cross_num)
             f[0] += i + twist

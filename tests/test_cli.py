@@ -338,14 +338,21 @@ def test_coefficient_past_the_digit_limit_exits_one(tmp_path, capsys, fmt):
     assert err == "error: coefficient of q^0 has more than 4300 digits\n"
 
 
+_TWENTY = "9" * 20    # the most digits of a twist or a specialization
+_NAMES = ["s1", "s2", "s3"] + ["v%d" % k for k in range(1, 17)]
+
+
 @pytest.mark.parametrize("argv", [
-    "vertex --order 2 --twist " + "9" * 4000,
-    "vertex --order 2 --format json --twist " + "9" * 4000,
-    "compare --rank 2 --order 2 --specialize s1=%s*s2" % ("9" * 4000)],
+    "vertex --order 120 --twist %s --specialize s1=%s*s2" % (_TWENTY,
+                                                            _TWENTY),
+    "vertex --order 120 --format json --twist %s --specialize s1=%s*s2"
+    % (_TWENTY, _TWENTY),
+    "compare --order 120 --twist %s --specialize s1=%s*s2" % (_TWENTY,
+                                                             _TWENTY)],
     ids=["vertex_text", "vertex_json", "compare"])
 def test_output_number_past_the_digit_limit_exits_one(capsys, argv):
-    # the series reads in, but a scalar of its output has more digits
-    # than str() prints; this printed a traceback
+    # the series reads in, inside the digit limits, but a scalar of its
+    # output has more digits than str() prints; this printed a traceback
     code, out, err = run(capsys, argv.split())
     assert code == 1 and out == ""
     assert err == "error: the output holds a number of more than 4300 " \
@@ -360,6 +367,49 @@ def test_specialize_number_past_the_digit_limit_exits_two(capsys, term):
     assert code == 2 and out == ""
     assert err == ("error: a number in term %r has more than 4300 digits\n"
                    % term)
+
+
+def test_series_past_the_digit_limit_exit_two_at_once(capsys):
+    # a 1,000-digit twist or specialization ran without output for
+    # minutes before the limit existed
+    past = "1" + "0" * 20
+    for argv, message in (
+            ("vertex --order 399 --twist " + past,
+             "the twist has more than 20 digits"),
+            ("compare --order 399 --twist " + "9" * 1000,
+             "the twist has more than 20 digits"),
+            ("vertex --order 399 --specialize s1=%s*s2" % ("9" * 1000),
+             "the specialization, composed over one common denominator, "
+             "has a number of more than 20 digits"),
+            ("compare --order 399 --specialize s3=1/%s" % past,
+             "the specialization, composed over one common denominator, "
+             "has a number of more than 20 digits"),
+            # each number has 11 digits, the composed coefficient of s1 21
+            ("vertex --order 399 --specialize s1=10000000000*s2,"
+             "s2=10000000000*s3",
+             "the specialization, composed over one common denominator, "
+             "has a number of more than 20 digits"),
+            # composing this chain took 4.8 s before the digits could be
+            # checked
+            ("compare --rank 16 --order 1 --specialize " + ",".join(
+                "%s=1/%d*%s+1/%d*%s" % (_NAMES[i], 10**2899 + i,
+                                        _NAMES[i + 1], 10**2899 - i,
+                                        _NAMES[i + 2]) for i in range(17)),
+             "the specialization has more than 10000 characters")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv.split())
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and out == "", argv
+        assert err == "error: %s\n" % message, argv
+
+
+def test_series_at_the_digit_limit_run(capsys):
+    for sub in ("vertex", "compare"):
+        for spec in ("s1=1/%s*s2", "s3=-s1-s2,v1=%s"):
+            code, out, err = run(capsys, [
+                sub, "--order", "2", "--twist", _TWENTY,
+                "--specialize", spec % _TWENTY])
+            assert code == 0 and err == "", (sub, spec)
 
 
 def test_repeated_specialize_target_exits_two(capsys):
@@ -456,6 +506,47 @@ def test_partition_at_the_size_limit_runs(tmp_path, capsys):
     assert code == 0 and err == ""
     assert out.startswith("q^0: 1\nq^1: -16\nq^2: 136\n")
     assert out.count("\n") == 1001
+
+
+def test_counts_past_the_size_budget_exit_two_at_once(tmp_path, capsys):
+    # dense files of long fractions ran for minutes at rank 16 before the
+    # budget existed; 11 counts of 4,300 digits have 157,000 bits, and at
+    # twist zero every count lands on degree zero
+    long = "9" * 4300
+    files = {
+        "long_counts": ({str(m): long for m in range(11)}, "1"),
+        "long_denominators": ({str(m): "1/%d" % (10**4299 + m)
+                               for m in range(1001)}, "1"),
+        "twist_zero": ({str(m): "1/%d" % (10**1000 + m)
+                        for m in range(1001)}, "0"),
+        "dense_fractions": ({str(m): "%d/%d" % (100 + m, 997 - m % 900)
+                             for m in range(1001)}, "1")}
+    for name, (doc, twist) in files.items():
+        counts = tmp_path / (name + ".json")
+        counts.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [
+            "partition", "--p-file", str(counts), "--rank", "16",
+            "--order", "1000", "--twist", twist])
+        assert time.perf_counter() - start < 1, name
+        assert code == 2 and out == "", name
+        assert err == ("error: the counts up to the order, over their "
+                       "least common denominator, take more than 150000 "
+                       "bits\n"), name
+
+
+def test_counts_inside_the_size_budget_run(tmp_path, capsys):
+    # 10 counts of 4,300 digits have 142,840 bits, inside the budget; the
+    # counts past the order do not count
+    long = "9" * 4300
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(
+        {**{str(m): long for m in range(10)}, "11": long, "12": long}))
+    code, out, err = run(capsys, [
+        "partition", "--p-file", str(counts), "--twist", "1", "--order",
+        "10"])
+    assert code == 0 and err == ""
+    assert out.count("\n") == 10
 
 
 def test_small_rational_strings_are_still_read(tmp_path, capsys):

@@ -3,10 +3,12 @@
 A ``hypothesis`` property drives ``cli.main`` in-process.  Its argv comes
 from a grammar of each subcommand's options, with boundary and
 malformed values: huge and negative integers, exponent strings, long
-digit strings, non-ASCII text, repeated options, repeated or unknown
-``--specialize`` targets and unknown options.  Count and model files
-are generated too: deep nesting, long integers, floats, strings and
-wrong types, and bytes that are not JSON or not UTF-8.  Ranks and orders
+digit strings, numbers at and past the digit limits, non-ASCII text,
+repeated options, repeated or unknown ``--specialize`` targets and
+unknown options.  Count and model files are generated too: deep
+nesting, long integers, floats, strings and wrong types, files at and
+past the size budget of counts, and bytes that are not JSON or not
+UTF-8.  Ranks and orders
 that are not refused stay small, so each example takes milliseconds.
 
 Whatever the input, the run keeps the documented contract: the exit
@@ -28,19 +30,22 @@ from hftvertex.cli import main
 
 _LONG = "9" * 4000          # a long integer that int() still reads
 _TOO_LONG = "9" * 5000      # past the 4,300 digit limit of int()
+_TWENTY = "9" * 20          # the most digits of a twist or specialization
 
 _INTEGERS = st.one_of(
     st.integers(0, 3).map(str),
     st.integers(-3, -1).map(str),
     st.integers(10**6, 10**40).map(str),
     st.sampled_from(["1e3", "1e3000000", "2.0", "", " 2", "1_0", "+1",
-                     "٣", "２", "0x10", _LONG, _TOO_LONG]),
+                     "٣", "２", "0x10", _LONG, _TOO_LONG, _TWENTY,
+                     "1" + "0" * 20]),
     st.text(max_size=3))
 
 _NAMES = st.sampled_from(["s1", "s2", "s3", "v1", "v2", "s1", "s2", "s3",
                           "v1", "v2", "v3", "v4", "s4", "v0", "x", "", "é"])
 _COEFFICIENTS = st.sampled_from(
-    ["", "", "", "2*", "1/2*", "-1*", "1/0*", "0/0*", _LONG + "*", "1e3*"])
+    ["", "", "", "2*", "1/2*", "-1*", "1/0*", "0/0*", _LONG + "*", "1e3*",
+     _TWENTY + "*", "1/%s*" % _TWENTY])
 _TERMS = st.one_of(
     st.builds(lambda c, n: c + n, _COEFFICIENTS, _NAMES),
     st.sampled_from(["1", "0", "3/2", "1/0", "1e3000000", _LONG, _TOO_LONG,
@@ -101,10 +106,18 @@ _GOOD_COUNTS = st.dictionaries(
     st.integers(0, 6).map(str),
     st.integers(-9, 9) | st.sampled_from(["3/2", "-1/6", "2e3", _LONG]),
     max_size=5).map(_dumps)
+# Files around the size budget: up to 11 counts of 4,000 digits are
+# inside it, 12 are past it, and so are many long denominators.
+_LONG_COUNTS = st.one_of(
+    st.integers(1, 14).map(
+        lambda n: _dumps({str(m): _LONG for m in range(n)})),
+    st.integers(1, 200).map(lambda n: _dumps(
+        {str(m): "1/%d" % (10**1000 + m) for m in range(n)})))
 _COUNT_FILES = st.one_of(
     _GOOD_COUNTS, _GOOD_COUNTS,
     st.dictionaries(_DEGREES, _JSON_SCALARS, max_size=4).map(_dumps),
     _JSON_VALUES.map(_dumps),
+    _LONG_COUNTS,
     _RAW_FILES)
 
 _POLY = st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(
@@ -159,16 +172,18 @@ _OPTIONS = {
 }
 _FILES = {"partition": _COUNT_FILES, "stability": _MODEL_FILES}
 
-# Well formed runs, which exit 0 or, where a specialization kills a
-# factor or a count is too long to print, 1.
+# Well formed runs, which exit 0; or 1, where a specialization kills a
+# factor or a count is too long to print; or 2, where a number is past a
+# digit limit or the counts are past their size budget.
 _GOOD_FORMATS = st.sampled_from(["text", "json"])
 _GOOD_SERIES = {
     "--rank": st.integers(1, 3).map(str),
-    "--twist": st.integers(0, 2).map(str),
+    "--twist": st.integers(0, 2).map(str) | st.just(_TWENTY),
     "--order": st.integers(0, 3).map(str),
     "--specialize": st.sampled_from([
         "s3=-s1-s2", "s3=-s1-s2,v1=1", "v1=1", "s1=2*s2", "v1=v2", "s1=0",
-        "s2=-s3", "s1=1", "s1=%s*s2" % _LONG]),
+        "s2=-s3", "s1=1", "s1=%s*s2" % _LONG, "s1=%s*s2" % _TWENTY,
+        "s3=1/%s*v1" % _TWENTY]),
     "--format": _GOOD_FORMATS}
 _GOOD = {
     "vertex": {**_GOOD_SERIES, "--mode": st.sampled_from(
@@ -180,7 +195,8 @@ _GOOD = {
                   "--format": _GOOD_FORMATS},
     "stability": {"--format": _GOOD_FORMATS},
 }
-_GOOD_FILES = {"partition": _GOOD_COUNTS, "stability": _GOOD_MODELS}
+_GOOD_FILES = {"partition": _GOOD_COUNTS | _LONG_COUNTS,
+               "stability": _GOOD_MODELS}
 _GOOD_Q_POLYS = st.lists(st.integers(-3, 3).map(str), min_size=1,
                          max_size=4).map(",".join)
 

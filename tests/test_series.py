@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from hftvertex.chars import VariableSet
 from hftvertex.fixedpoints import BoxTuple, InvalidModel
 from hftvertex.localize import (DivisionByZero, ModeUnavailable,
-                                contribution, parse_specialization,
-                                weight_function)
+                                _exchanged, contribution,
+                                parse_specialization, weight_function)
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
-                              _exchanged, assemble_vertex, binomial_series,
+                              assemble_vertex, binomial_series,
                               closed_form_series, compare_rows, count_series,
                               eq_weight_sum, hft_partition, one_leg_exponent,
                               power, reference_series, weight_sum, ws_text,
