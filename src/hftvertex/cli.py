@@ -147,8 +147,9 @@ def _parse_model(data) -> FrozenTripleModel:
         raise UsageError("model file must be a JSON object")
     try:
         return FrozenTripleModel.from_json(data)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError,
-            InvalidModel) as err:
+    except KeyError as err:
+        raise UsageError("bad model file: missing field %s" % err) from None
+    except (ValueError, TypeError, ZeroDivisionError, InvalidModel) as err:
         raise UsageError("bad model file: %s" % err) from None
 
 

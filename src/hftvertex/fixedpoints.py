@@ -129,13 +129,6 @@ def _leading_sign(*terms: tuple[Fraction | int, HilbertPoly]) -> int:
     return 0
 
 
-def poly_compare_asymptotic(a: Iterable, b: Iterable) -> str:
-    """Compare two polynomials for all sufficiently large arguments:
-    returns "less", "equal", or "greater"."""
-    sign = _leading_sign((1, hilbert_poly(a)), (-1, hilbert_poly(b)))
-    return ("less", "equal", "greater")[sign + 1]
-
-
 def rank_coefficient(p_sub: HilbertPoly, p_total: HilbertPoly) -> Fraction:
     """Coefficient of ``p_sub`` in the degree of ``p_total``: the rank of
     the subobject relative to the support of the total one."""
@@ -174,7 +167,7 @@ class FrozenTripleModel:
                 "total polynomial needs a positive leading coefficient")
         if not pim:
             raise InvalidModel("the framing image must be nonzero")
-        if poly_compare_asymptotic(pim, pf) == "greater":
+        if _leading_sign((1, pim), (-1, pf)) > 0:
             raise InvalidModel("image polynomial exceeds the total one")
         subs = tuple((hilbert_poly(p), bool(flag))
                      for p, flag in self.subobjects)
@@ -185,21 +178,28 @@ class FrozenTripleModel:
     @classmethod
     def from_json(cls, data: Mapping) -> FrozenTripleModel:
         """Read parsed JSON, refusing floats, booleans used as numbers
-        and flags that are not booleans rather than converting them."""
-        def poly(value) -> HilbertPoly:
+        and flags that are not booleans rather than converting them.
+        Each refusal names the field or entry at fault."""
+        def poly(value, name: str) -> HilbertPoly:
             if not isinstance(value, list) or any(
-                    isinstance(c, (bool, float)) for c in value):
-                raise ValueError("bad polynomial %r" % (value,))
+                    type(c) not in (int, str) for c in value):
+                raise ValueError("%s %r is not a list of integers and "
+                                 "strings" % (name, value))
             return hilbert_poly(value)
+        entries = data.get("subobjects", [])
+        if not isinstance(entries, list):
+            raise ValueError("subobjects is not a list")
         subs = []
-        for entry in data.get("subobjects", ()):
-            if not isinstance(entry["factors"], bool):
-                raise ValueError("bad factors flag %r" % (entry["factors"],))
-            subs.append((poly(entry["p"]), entry["factors"]))
+        for i, e in enumerate(entries):
+            if not (isinstance(e, dict) and "p" in e
+                    and isinstance(e.get("factors"), bool)):
+                raise ValueError("subobjects[%d] is not an object with p "
+                                 "and a boolean factors flag" % i)
+            subs.append((poly(e["p"], "subobjects[%d].p" % i), e["factors"]))
         if type(data["rank"]) is not int:
             raise ValueError("bad rank %r" % (data["rank"],))
-        return cls(data["rank"], poly(data["p_total"]),
-                   poly(data["p_image"]), tuple(subs))
+        return cls(data["rank"], poly(data["p_total"], "p_total"),
+                   poly(data["p_image"], "p_image"), tuple(subs))
 
 
 def tau_stability_check(model: FrozenTripleModel,

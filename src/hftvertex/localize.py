@@ -166,9 +166,6 @@ class WeightFunction:
             bottom *= m ** -shift
         return Fraction(top, bottom)
 
-    def to_json(self) -> dict:
-        return _wf_json(self, {})
-
     def text(self) -> str:
         return _wf_text(self, {})
 

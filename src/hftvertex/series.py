@@ -95,10 +95,6 @@ def ws_unit(rank: int) -> WeightSum:
     return (weight_function(rank, 1),)
 
 
-def ws_text(a: WeightSum) -> str:
-    return _ws_text(a, {})
-
-
 def _ws_text(a: WeightSum, forms: dict[WeightForm, str]) -> str:
     """Render ``a`` with the form texts of ``forms``, which the caller
     keeps for one output (see ``_wf_text``)."""
@@ -112,10 +108,6 @@ def _ws_text(a: WeightSum, forms: dict[WeightForm, str]) -> str:
         else:
             out += " + " + t
     return out
-
-
-def ws_to_json(a: WeightSum):
-    return _ws_json(a, {})
 
 
 def _ws_json(a: WeightSum, lists: dict[WeightForm, list[int]]):
@@ -404,19 +396,11 @@ def compare_rows(rank: int, twist: int, order: int,
 CountSeries = dict[int, Fraction]
 
 
-def count_series(data: Mapping) -> CountSeries:
-    """Normalize a mapping of box totals to counts: integer keys at
-    least zero, exact rational values (integers, Fractions or strings
-    such as ``"3/2"``), zero values dropped.  Floats and booleans are
-    refused rather than converted."""
-    out: CountSeries = {}
-    for m, c in _count_entries(data):
-        out[m] = out.get(m, Fraction(0)) + c
-    return {m: c for m, c in out.items() if c}
-
-
 def _count_entries(data: Mapping) -> Iterator[tuple[int, Fraction]]:
-    """Degree and count of each entry with a nonzero count, in order."""
+    """Degree and count of each entry with a nonzero count, in order:
+    integer keys at least zero, exact rational values (integers,
+    Fractions or strings such as ``"3/2"``).  Floats and booleans are
+    refused rather than converted."""
     for key, value in data.items():
         # refused before converting: Fraction of an infinite float raises
         # OverflowError
@@ -450,8 +434,8 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     clear the denominators by their lcm L, convolve rank times in
     integers, and divide each coefficient by L^rank.
 
-    A bad entry raises ``InvalidCounts``, as in ``count_series``, and so
-    does a file past ``_MAX_COUNT_BITS``, before any long arithmetic.
+    A bad entry raises ``InvalidCounts`` (see ``_count_entries``), and
+    so does a file past ``_MAX_COUNT_BITS``, before any long arithmetic.
     Twist zero collapses the series to a constant; empty input gives zero.
     """
     if rank < 1:

@@ -54,8 +54,10 @@ the source text and applies them to each factor one ``Fraction`` step at
 a time, where the package composes them into integer images of the unit
 forms as it parses them.
 
-Finally it holds the tools only the tests need: ``eq_rational``, equality
-of values of rational characters; ``poly_substituted`` and
+Finally it holds the tools only the tests need: ``ws_text`` and
+``ws_to_json``, the text and JSON form of one weight sum, where the CLI
+keeps one form cache per output; ``eq_rational``, equality of values of
+rational characters; ``poly_substituted`` and
 ``char_substituted``, signed monomial substitutions, which the raw road
 uses to change charts; ``binomiality_test``, which recognizes a binomial
 coefficient list; ``box_model``, the Hilbert polynomial model of a
@@ -85,8 +87,8 @@ from hftvertex.localize import (AffineWeight, DivisionByZero, Specialization,
                                 contribution, form_text, param_names,
                                 specialize, weight_function, weights_of)
 from hftvertex.series import (BinomialIneligible, VertexSeries, WeightSum,
-                              binomial_series, eq_weight_sum, weight_sum,
-                              ws_unit)
+                              _ws_json, _ws_text, binomial_series,
+                              eq_weight_sum, weight_sum, ws_unit)
 from hftvertex.vertexchar import frame_sum, total_character
 
 
@@ -528,6 +530,16 @@ def contribution_whole(vars: VariableSet, box: BoxTuple, twist: int,
             f[0] -= i + twist
             dens.append(f)
     return weight_function(vars.rank, 1, nums, dens, context)
+
+
+def ws_text(a: WeightSum) -> str:
+    """The text of ``a``, with a form cache of its own."""
+    return _ws_text(a, {})
+
+
+def ws_to_json(a: WeightSum):
+    """The JSON form of ``a``, with a form cache of its own."""
+    return _ws_json(a, {})
 
 
 def ws_mul(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:

@@ -19,11 +19,11 @@ from hftvertex.fixedpoints import (FrozenTripleModel, enumerate_fixed,
 from hftvertex.localize import (contribution, parse_specialization,
                                 weights_of)
 from hftvertex.series import (assemble_vertex, compare_rows,
-                              hft_partition, one_leg_exponent, ws_text)
+                              hft_partition, one_leg_exponent)
 from hftvertex.vertexchar import total_character
 from oracles import (binomiality_test, brute_partition, char_substituted,
                      edge_g_local, eq_rational, frame_part, leg_strata,
-                     poly_substituted, total_character_quotient)
+                     poly_substituted, total_character_quotient, ws_text)
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)

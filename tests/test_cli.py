@@ -254,6 +254,21 @@ def test_exit_code_two_on_bad_files(tmp_path, capsys):
             "stability", "--model-file", str(bad), "--q-poly", "0,0,1"])
         assert code == 2 and out == "", change
         assert err.startswith("error: bad model file"), change
+    # each message names the field or entry at fault, not a Python error
+    for change, named in (
+            ({"p_total": None}, "missing field 'p_total'"),
+            ({"subobjects": [{"p": ["1"]}]}, "subobjects[0] is not an object"),
+            ({"subobjects": 5}, "subobjects is not a list"),
+            ({"subobjects": [sub, "x"]}, "subobjects[1] is not an object"),
+            ({"p_total": [[1]]}, "p_total [[1]] is not a list of integers")):
+        doc = {k: v for k, v in {**good_model, **change}.items()
+               if v is not None}
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "stability", "--model-file", str(bad), "--q-poly", "0,0,1"])
+        assert (code, out) == (2, ""), change
+        assert err.startswith("error: bad model file: " + named), change
+        assert err.count("\n") == 1, change
     bad.write_text(json.dumps(good_model))
     assert run(capsys, ["stability", "--model-file", str(bad),
                         "--q-poly", "0,0,1"])[0] == 0

@@ -38,8 +38,8 @@ from hftvertex.fixedpoints import enumerate_fixed
 from hftvertex.localize import (contribution, parse_specialization,
                                 specialize, weight_function)
 from hftvertex.series import (assemble_vertex, closed_form_series,
-                              compare_rows, hft_partition, weight_sum,
-                              ws_to_json)
+                              compare_rows, hft_partition, weight_sum)
+from oracles import ws_to_json
 
 TABLE = json.loads(
     (Path(__file__).parent / "cy_slice_table.json").read_text())

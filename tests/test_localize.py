@@ -5,7 +5,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hftvertex.chars import (HftError, LaurentPoly, VariableSet,
@@ -17,7 +17,7 @@ from hftvertex.localize import (AffineWeight, DivisionByZero,
                                 ZeroWeight, contribution, form_text,
                                 param_names, parse_specialization, specialize,
                                 weight_function, weights_of)
-from oracles import euler_of_minus, specialize_stepwise
+from oracles import euler_of_minus, specialize_stepwise, ws_to_json
 
 V1 = VariableSet(1)
 V2 = VariableSet(2)
@@ -98,7 +98,7 @@ def test_weight_function_evaluate():
 def test_weight_function_json_roundtrip():
     wf = weight_function(1, Fraction(-3, 4), [(0, 1, 1, 0)],
                          [(1, 0, 0, 0), (1, 0, 0, 0)])
-    data = wf.to_json()
+    data = ws_to_json((wf,))
     assert data == {"scalar": "-3/4", "num": [[0, 1, 1, 0]],
                     "den": [[1, 0, 0, 0], [1, 0, 0, 0]]}
 
@@ -353,44 +353,61 @@ def _outcome(run):
         return type(err)
 
 
+@st.composite
+def _compose_cases(draw):
+    """A contribution and two assignment lists with distinct targets."""
+    rank = draw(st.integers(1, 3))
+    box = draw(st.sampled_from(enumerate_fixed(rank, draw(st.integers(1, 3)))))
+    twist = draw(st.integers(0, 2))
+    a = draw(_assignments(rank))
+    return rank, box, twist, a, draw(_assignments(rank, _targets(a)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_specializations_compose(data):
+@given(_compose_cases())
+@example((1, BoxTuple((0,), (1,)), 0, "s1=-2*v1+2*s2,v1=s2",
+          "s2=-2*s1,s3=2*s1"))
+def test_specializations_compose(case):
     """Specializing by A and then by B equals specializing once by the
-    joined list "A,B", and both refuse with the same error class.
+    joined list "A,B" wherever the joined list succeeds, and where the
+    two steps refuse, the joined list refuses with the same error class.
 
     The targets are distinct within A and B and across them, since a
     list that assigns one parameter twice is refused.
 
-    One case is exempt: the two steps may succeed where the joined list
-    refuses, and the joined list is right to.  A specialization applies
-    to the function on the whole subspace at once (README, "Joined
-    specializations").  The first step canonicalizes, so a numerator
-    and a denominator factor that A makes proportional cancel into a
-    constant, and B cannot kill them any more; the joined list
-    specializes every factor of the contribution through A and B and
-    refuses the 0/0.  At rank one, box ((0,), (1,)), twist 0, the
-    contribution is -(2*s1 + s2 + s3)/s1, which is 0/0 on the line
-    s1=0, s2=-s3, v1=s3: ``s2=-s3,s1=s3-v1`` makes it -2, and ``v1=s3``
-    after it keeps -2, while ``s2=-s3+s1,v1=s3`` makes it -3, so the
-    function has no value on that line, and the joined list raises
-    ``ZeroWeight``.  The converse holds: what the joined list
-    specializes, the two steps specialize to the same value.
+    The joined list may refuse more, always with ``ZeroWeight``.  A
+    specialization applies to the function on the whole subspace at once
+    (README, "Joined specializations"), and numerator factors are
+    checked first.  The first step canonicalizes, so a numerator and a
+    denominator factor that A makes proportional cancel, and B cannot
+    kill them any more; the joined list specializes every factor of the
+    contribution through A and B and refuses the 0/0 as ``ZeroWeight``.
+    So the two steps may succeed, or refuse a denominator with
+    ``DivisionByZero``, where the joined list kills a numerator.  At
+    rank one, box ((0,), (1,)), twist 0, the contribution is
+    -(2*s1 + s2 + s3)/s1, which is 0/0 on the line s1=0, s2=-s3, v1=s3:
+    ``s2=-s3,s1=s3-v1`` makes it -2, and ``v1=s3`` after it keeps -2,
+    while ``s2=-s3+s1,v1=s3`` makes it -3, so the function has no value
+    on that line, and the joined list raises ``ZeroWeight``.  The pinned
+    example is the second kind: A alone kills the denominator s1, so the
+    steps stop with ``DivisionByZero``, while the joined list kills the
+    numerator 2*s1 + s2 + s3 as well and reports it first.
     """
-    rank = data.draw(st.integers(1, 3))
-    box = data.draw(st.sampled_from(
-        enumerate_fixed(rank, data.draw(st.integers(1, 3)))))
-    wf = contribution(VariableSet(rank), box, data.draw(st.integers(0, 2)))
-    a = data.draw(_assignments(rank))
-    b = data.draw(_assignments(rank, _targets(a)))
+    rank, box, twist, a, b = case
+    wf = contribution(VariableSet(rank), box, twist)
     stepwise = _outcome(lambda: specialize(
         specialize(wf, parse_specialization(rank, a)),
         parse_specialization(rank, b)))
     joined = _outcome(lambda: specialize(
         wf, parse_specialization(rank, a + "," + b)))
-    if not (isinstance(stepwise, WeightFunction)
-            and isinstance(joined, type)):
+    if isinstance(joined, WeightFunction):
         assert stepwise == joined
+    elif isinstance(stepwise, WeightFunction):
+        assert joined is ZeroWeight
+    elif stepwise is DivisionByZero:
+        assert joined in (DivisionByZero, ZeroWeight)
+    else:
+        assert joined is stepwise
 
 
 _RATIONALS = ("1", "2", "1/2", "1/3", "2/3", "3/2")

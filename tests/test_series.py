@@ -15,13 +15,12 @@ from hftvertex.localize import (DivisionByZero, ModeUnavailable,
                                 parse_specialization, weight_function)
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
                               assemble_vertex, binomial_series,
-                              closed_form_series, compare_rows, count_series,
+                              closed_form_series, compare_rows,
                               eq_weight_sum, hft_partition, one_leg_exponent,
-                              power, reference_series, weight_sum, ws_text,
-                              ws_to_json, ws_unit)
+                              power, reference_series, weight_sum, ws_unit)
 from oracles import (binomiality_test, brute_partition,
                      exchanged_canonicalized, leg_strata, weight_sum_grouped,
-                     ws_mul)
+                     ws_mul, ws_text, ws_to_json)
 
 
 def wf1(scalar, num=(), den=()):
@@ -422,12 +421,16 @@ def test_vertex_series_text_and_json():
 
 
 def test_count_series_normalization():
-    assert count_series({"2": "3/2", 1: 0}) == {2: Fraction(3, 2)}
+    # at rank 1 and twist 1 the partition series is the count file itself
+    assert hft_partition({"2": "3/2", 1: 0}, 1, 1, 2) == {2: Fraction(3, 2)}
+    # keys that name one degree add up, and a zero sum is dropped
+    assert hft_partition({"1": 1, "01": 2}, 1, 1, 2) == {1: Fraction(3)}
+    assert hft_partition({"1": 1, "001": -1}, 1, 1, 2) == {}
     for data in ({-1: 1}, {1: 0.5}, {1: True}, {1.0: 1}, {1: "1/0"},
                  {"x": 1}, {1: float("inf")}, {1: float("-inf")},
                  {1: float("nan")}):
         with pytest.raises(InvalidCounts):
-            count_series(data)
+            hft_partition(data, 1, 1, 2)
 
 
 def test_hft_partition_oracles():

@@ -22,9 +22,10 @@ from hftvertex.chars import HftError, LaurentPoly, VariableSet
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
 from hftvertex.localize import (contribution, parse_specialization,
                                 specialize, weight_function)
-from hftvertex.series import assemble_vertex, weight_sum, ws_text
+from hftvertex.series import assemble_vertex, weight_sum
 from hftvertex.vertexchar import alpha_block, beta_block, total_character
-from oracles import assemble_vertex_enumerated, contribution_whole, leg_strata
+from oracles import (assemble_vertex_enumerated, contribution_whole,
+                     leg_strata, ws_text)
 from test_localize import _affine_assignments
 
 VARS = {rank: VariableSet(rank) for rank in (1, 2, 3, 4, 5)}
