@@ -67,9 +67,9 @@ class VariableSet:
     __slots__ = ("rank", "names")
 
     def __init__(self, rank: int) -> None:
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        self.rank = int(rank)
+        if type(rank) is not int or rank < 0:
+            raise ValueError("rank must be a nonnegative integer")
+        self.rank = rank
         self.names = ("t1", "t2", "t3") + tuple(
             "w%d" % (j + 1) for j in range(self.rank))
 

@@ -162,44 +162,48 @@ def _parse_q(text: str) -> tuple[Fraction, ...]:
 
 def _json_text(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for
-    a document of str-keyed dicts, lists, strings, ints, booleans and
-    None; any other value or key, a float included, raises
-    ``TypeError``.
+    a document of str-keyed dicts, lists, tuples, strings, ints, booleans
+    and None; any other value or key, a float included, raises
+    ``TypeError``.  Every tuple must be a ``WeightForm``, which holds
+    ints and no bools, so that equal tuples have one text.
 
     For an indented dump the stdlib runs its pure-Python encoder.  Here
-    strings go through its C escaper, and a list of plain ints that
-    recurs among the items of lists is joined once per list object and
-    depth: a series document holds one list per distinct weight form,
-    and each recurs many times.  The document keeps every list alive
-    during the call, so no two of them share an ``id``."""
+    strings go through its C escaper, and the text of a tuple among the
+    items of a list is joined once per value and depth: a series
+    document holds its weight forms as tuples in lists, and the same few
+    recur many times."""
     escape = json.encoder.encode_basestring_ascii
-    joined: dict[tuple[str, int], str] = {}
+    # texts[indent] maps each tuple written at that depth to its text
+    texts: dict[str, dict[tuple, str]] = {}
     parts: list[str] = []
     put = parts.append
 
+    def tuple_text(v: tuple, indent: str) -> str:
+        inner = indent + "  "
+        text = "[%s%s%s]" % (inner, ("," + inner).join(
+            map(int.__repr__, v)), indent) if v else "[]"
+        texts.setdefault(indent, {})[v] = text
+        return text
+
     def write(v, indent: str) -> None:
         # indent is the newline and indentation that close v
-        if isinstance(v, list):
+        if isinstance(v, tuple):
+            put(tuple_text(v, indent))
+        elif isinstance(v, list):
             if not v:
                 put("[]")
                 return
             inner = indent + "  "
-            # by type, so that a bool in the list is never written as 1
-            if set(map(type, v)) == {int}:
-                text = joined[indent, id(v)] = "[%s%s%s]" % (
-                    inner, ("," + inner).join(map(int.__repr__, v)), indent)
-                put(text)
-                return
+            known = texts.setdefault(inner, {})
             put("[")
             sep, comma = inner, "," + inner
             for x in v:
                 put(sep)
-                # a list joined before is written here, without a call
-                text = joined.get((inner, id(x)))
-                if text is None:
-                    write(x, inner)
+                # a tuple written before at this depth, without a call
+                if type(x) is tuple:
+                    put(known.get(x) or tuple_text(x, inner))
                 else:
-                    put(text)
+                    write(x, inner)
                 sep = comma
             put(indent + "]")
         elif isinstance(v, dict):
@@ -305,15 +309,12 @@ def _run_compare(args) -> int:
     rows = compare_rows(args.rank, args.twist, args.order, spec)
 
     def doc() -> dict:
-        # one form cache per output, as in VertexSeries.to_json and text
-        lists: dict = {}
         return {
             "rank": args.rank,
             "twist": args.twist,
             "order": args.order,
             "specialization": spec.source,
-            "rows": [{**row, **{c: _ws_json(row[c], lists)
-                                for c in _WS_COLUMNS}}
+            "rows": [{**row, **{c: _ws_json(row[c]) for c in _WS_COLUMNS}}
                      for row in rows],
         }
 

@@ -21,6 +21,8 @@ import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import sub
 
 from .chars import HftError
 
@@ -44,12 +46,12 @@ class BoxTuple:
     beta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        alpha = tuple(int(x) for x in self.alpha)
-        beta = tuple(int(x) for x in self.beta)
+        alpha, beta = tuple(self.alpha), tuple(self.beta)
         if len(alpha) != len(beta) or not alpha:
             raise InvalidModel("alpha and beta need equal positive length")
-        if any(x < 0 for x in alpha + beta):
-            raise InvalidModel("box counts must be nonnegative")
+        # by type, so that neither a bool nor a float is read as a count
+        if {*map(type, alpha + beta)} != {int} or min(alpha + beta) < 0:
+            raise InvalidModel("box counts must be nonnegative integers")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -74,12 +76,10 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head, *rest)
+    # stars and bars: the parts are the differences of parts - 1
+    # nondecreasing cuts in 0..total, which come in lexicographic order
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
 def enumerate_fixed(rank: int, total: int) -> list[BoxTuple]:
@@ -185,7 +185,11 @@ class FrozenTripleModel:
                     type(c) not in (int, str) for c in value):
                 raise ValueError("%s %r is not a list of integers and "
                                  "strings" % (name, value))
-            return hilbert_poly(value)
+            try:
+                return hilbert_poly(value)
+            except (ValueError, ZeroDivisionError) as err:
+                raise ValueError("%s %r is not a list of rational numbers: "
+                                 "%s" % (name, value, err)) from None
         entries = data.get("subobjects", [])
         if not isinstance(entries, list):
             raise ValueError("subobjects is not a list")

@@ -173,24 +173,6 @@ class WeightFunction:
         return self.text()
 
 
-def _wf_json(wf: WeightFunction, lists: dict[WeightForm, list[int]]
-             ) -> dict:
-    """The JSON form of ``wf``.  ``lists`` maps each form written so far
-    to its list; the caller keeps it for one document, so a form that
-    recurs is one list object there, which the CLI's JSON writer joins
-    once."""
-    out = {"scalar": str(wf.scalar)}
-    for side, forms in (("num", wf.num), ("den", wf.den)):
-        vecs = []
-        for f in forms:
-            vec = lists.get(f)
-            if vec is None:
-                vec = lists[f] = list(f)
-            vecs.append(vec)
-        out[side] = vecs
-    return out
-
-
 def _wf_text(wf: WeightFunction, forms: dict[WeightForm, str]) -> str:
     """Render ``wf``.  ``forms`` maps each form rendered so far to its
     ``(...)`` text; the caller keeps it for one render, so a form that

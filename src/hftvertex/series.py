@@ -34,8 +34,8 @@ from typing import TypeVar
 from .chars import HftError, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       _check_mode, _exchanged, _product, _wf_json,
-                       _wf_text, _value_parts, contribution, specialize,
+                       _check_mode, _exchanged, _product, _wf_text,
+                       _value_parts, contribution, specialize,
                        weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
@@ -110,14 +110,21 @@ def _ws_text(a: WeightSum, forms: dict[WeightForm, str]) -> str:
     return out
 
 
-def _ws_json(a: WeightSum, lists: dict[WeightForm, list[int]]):
-    """The JSON form of ``a`` with the form lists of ``lists``, which the
-    caller keeps for one document (see ``_wf_json``)."""
+def _wf_json(wf: WeightFunction) -> dict:
+    """The JSON form of ``wf``: its forms stay tuples, which the CLI's
+    JSON writer ``cli._json_text`` joins once per value and depth."""
+    return {"scalar": str(wf.scalar), "num": list(wf.num),
+            "den": list(wf.den)}
+
+
+def _ws_json(a: WeightSum):
+    """The JSON form of ``a``: one weight function, a list of them, or
+    the zero function when ``a`` is empty."""
     if not a:
         return {"scalar": "0", "num": [], "den": []}
     if len(a) == 1:
-        return _wf_json(a[0], lists)
-    return [_wf_json(wf, lists) for wf in a]
+        return _wf_json(a[0])
+    return [_wf_json(wf) for wf in a]
 
 
 # One evaluation point per base: its entries are the powers base ** 1,
@@ -189,7 +196,6 @@ class VertexSeries:
     coefficients: tuple[WeightSum, ...]
 
     def to_json(self) -> dict:
-        lists: dict[WeightForm, list[int]] = {}
         return {
             "rank": self.rank,
             "twist": self.twist,
@@ -197,7 +203,7 @@ class VertexSeries:
             "mode": self.mode,
             "specialization": self.specialization,
             "coefficients": [
-                {"k": k, "value": _ws_json(c, lists)}
+                {"k": k, "value": _ws_json(c)}
                 for k, c in enumerate(self.coefficients)],
         }
 
@@ -259,9 +265,8 @@ def _binomial_factor(exponent: WeightFunction, shift: int) -> WeightFunction:
         return weight_function(rank, exponent.scalar - shift)
     n = exponent.num[0]
     d = exponent.den[0]
+    # s*n - shift*d is never zero: n and d are distinct primitive forms
     vec = [exponent.scalar * a - shift * b for a, b in zip(n, d)]
-    if not any(vec):
-        return weight_function(rank, 0)
     return weight_function(rank, 1, [vec], [d])
 
 
@@ -281,9 +286,6 @@ def binomial_series(exponent: WeightFunction, order: int
     out = [weight_function(rank, 1)]
     prev = out[0]
     for k in range(1, order + 1):
-        if prev.is_zero():
-            out.append(prev)
-            continue
         prev = (prev * _binomial_factor(exponent, k - 1)).scaled(
             Fraction(1, k))
         out.append(prev)

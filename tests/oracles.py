@@ -69,6 +69,7 @@ in integers.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -538,8 +539,9 @@ def ws_text(a: WeightSum) -> str:
 
 
 def ws_to_json(a: WeightSum):
-    """The JSON form of ``a``, with a form cache of its own."""
-    return _ws_json(a, {})
+    """The JSON form of ``a`` as a JSON reader gives it back: the forms,
+    tuples in the package's document, read as lists."""
+    return json.loads(json.dumps(_ws_json(a)))
 
 
 def ws_mul(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:

@@ -39,8 +39,9 @@ def test_variable_set_basics():
     assert hash(V1) == hash(VariableSet(1))
     with pytest.raises(VariableSetMismatch):
         V1.mono(w=(1, 2))
-    with pytest.raises(ValueError):
-        VariableSet(-1)
+    for rank in (-1, 2.5, True, "2"):
+        with pytest.raises(ValueError):
+            VariableSet(rank)
 
 
 def test_grlex_key_orders_by_degree_then_tuple():

@@ -182,6 +182,7 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         ["vertex", "--specialize", "s1=s1"],
         ["vertex", "--specialize", "v2=1"],
         ["vertex", "--specialize", "s1=?"],
+        ["vertex", "--specialize", "s1=s2+"],
         ["vertex", "--specialize", "s1=1/0"],
         ["vertex", "--specialize", "s1=1/0*s2"],
         ["vertex", "--specialize", "s1=0/0"],
@@ -234,6 +235,10 @@ def test_exit_code_two_on_bad_files(tmp_path, capsys):
     code, _, err = run(capsys, [
         "stability", "--model-file", str(bad), "--q-poly", "0,0,1"])
     assert code == 2 and "bad model file" in err
+    bad.write_text(json.dumps([1, 2]))
+    code, _, err = run(capsys, [
+        "stability", "--model-file", str(bad), "--q-poly", "0,0,1"])
+    assert code == 2 and "model file must be a JSON object" in err
     # floats, booleans read as numbers, strings read as lists or flags
     good_model = {"rank": 1, "p_total": ["2", "1"], "p_image": ["1", "1"],
                   "subobjects": [{"p": ["1", "1"], "factors": False}]}
@@ -260,7 +265,14 @@ def test_exit_code_two_on_bad_files(tmp_path, capsys):
             ({"subobjects": [{"p": ["1"]}]}, "subobjects[0] is not an object"),
             ({"subobjects": 5}, "subobjects is not a list"),
             ({"subobjects": [sub, "x"]}, "subobjects[1] is not an object"),
-            ({"p_total": [[1]]}, "p_total [[1]] is not a list of integers")):
+            ({"p_total": [[1]]}, "p_total [[1]] is not a list of integers"),
+            # strings that are not rationals
+            ({"p_image": ["1/0", "1"]},
+             "p_image ['1/0', '1'] is not a list of rational numbers"),
+            ({"p_total": ["2", "x"]},
+             "p_total ['2', 'x'] is not a list of rational numbers"),
+            ({"subobjects": [{**sub, "p": ["1/0"]}]},
+             "subobjects[0].p ['1/0'] is not a list of rational numbers")):
         doc = {k: v for k, v in {**good_model, **change}.items()
                if v is not None}
         bad.write_text(json.dumps(doc))
@@ -584,27 +596,35 @@ def test_small_rational_strings_are_still_read(tmp_path, capsys):
 
 # Lists of small ints recur, at one depth and at several, as the weight
 # forms of a series do; bools mixed into int lists must stay bools.
+# Tuples hold ints only, as a weight form does.
 _INT_LISTS = st.lists(st.integers(-2, 2), max_size=3) | st.lists(
     st.integers() | st.booleans(), max_size=4)
+_INT_TUPLES = (st.lists(st.integers(-2, 2), max_size=3)
+               | st.lists(st.integers(), max_size=4)).map(tuple)
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text() | _INT_LISTS,
+    st.none() | st.booleans() | st.integers() | st.text() | _INT_LISTS
+    | _INT_TUPLES,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=40)
 
 
-# One list object placed at several depths, as a series document places
-# the list of each weight form; [1, 0] and [True, False] are equal, with
-# equal hashes, and must each keep their own text.
+# One list or tuple object placed at several depths, and equal tuples
+# that are distinct objects, as a series document places the tuple of
+# each weight form; [1, 0] and [True, False] are equal lists, (1, 0)
+# holds the same values, and each must keep its own text.
 _ONE_ZERO, _TRUE_FALSE = [1, 0], [True, False]
 
 
 @st.composite
 def _shared_lists(draw):
     shared = draw(st.lists(_INT_LISTS, min_size=1, max_size=3))
-    shared += [_ONE_ZERO, _TRUE_FALSE]
+    tuples = draw(st.lists(_INT_TUPLES, min_size=1, max_size=3))
+    shared += [_ONE_ZERO, _TRUE_FALSE, (1, 0), *tuples]
+    # a copy of a nonempty tuple is a distinct object with an equal value
+    copies = st.sampled_from(tuples).map(lambda t: tuple(list(t)))
     return draw(st.recursive(
-        st.sampled_from(shared) | st.integers(-2, 2),
+        st.sampled_from(shared) | copies | st.integers(-2, 2),
         lambda inner: st.lists(inner, max_size=4)
         | st.dictionaries(st.text(max_size=2), inner, max_size=4),
         max_leaves=30))
@@ -617,12 +637,15 @@ def _shared_lists(draw):
           "b": [_TRUE_FALSE, _ONE_ZERO, [_TRUE_FALSE]],
           "c": _ONE_ZERO, "d": {"e": [[_TRUE_FALSE], _ONE_ZERO]},
           "f": _TRUE_FALSE})
+@example({"a": [(1, 0), [1, 0], [True, False], (1, 0), tuple([1, 0])],
+          "b": [[True, False], (1, 0), [(1, 0), ()]], "c": (1, 0),
+          "d": {"e": (1, 0), "f": [(), (1, 0)]}, "g": ()})
 def test_json_text_is_the_indented_dump(doc):
     assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_json_text_refuses_floats_and_non_string_keys():
     for doc in (0.5, [1, 2.0], {"a": [1.0]}, {"a": {"b": float("nan")}},
-                {1: 2}, {"a": {None: 1}}):
+                {1: 2}, {"a": {None: 1}}, [(1, 0.5)], {"a": (0.5,)}):
         with pytest.raises(TypeError):
             _json_text(doc)

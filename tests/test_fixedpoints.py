@@ -33,6 +33,11 @@ def test_box_tuple_validation():
         BoxTuple((), ())
     with pytest.raises(InvalidModel):
         BoxTuple((-1,), (0,))
+    # neither a float nor a bool is read as a count
+    for alpha, beta in (((1.5,), (0,)), ((True,), (0,)), ((0,), (0.9,)),
+                        ((0, 1), (0, "1"))):
+        with pytest.raises(InvalidModel, match="nonnegative integers"):
+            BoxTuple(alpha, beta)
 
 
 def test_compositions_order_and_count():
@@ -44,6 +49,8 @@ def test_compositions_order_and_count():
             assert count == math.comb(total + parts - 1, parts - 1)
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(3, 0)) == []
+    with pytest.raises(ValueError):
+        list(compositions(-1, 2))
 
 
 def test_enumerate_fixed_counts_and_order():
@@ -55,6 +62,8 @@ def test_enumerate_fixed_counts_and_order():
             flat = [box.alpha + box.beta for box in found]
             assert flat == sorted(flat)
             assert all(box.total == total for box in found)
+    with pytest.raises(ValueError, match="rank must be at least one"):
+        enumerate_fixed(0, 1)
 
 
 def test_enumerate_fixed_matches_exhaustive_generation():

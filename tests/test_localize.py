@@ -267,6 +267,8 @@ def test_specialize_error_paths():
     num_kill = weight_function(1, 1, [(1, 0, 0, 0)])
     with pytest.raises(ZeroWeight):
         specialize(num_kill, parse_specialization(1, "s1=0"))
+    with pytest.raises(VariableSetMismatch, match="specialization of rank 2"):
+        specialize(wf, parse_specialization(2, "s1=1"))
 
 
 def test_full_numeric_specialization_matches_evaluation():

@@ -187,6 +187,8 @@ def test_assemble_vertex_basics():
     assert series.coefficients[1] == (one_leg_exponent(1),)
     with pytest.raises(InvalidModel):
         assemble_vertex(1, 0, -1)
+    with pytest.raises(InvalidModel, match="^order must be nonnegative$"):
+        closed_form_series(1, 0, -1)
 
 
 def test_assemble_vertex_specialization_context():

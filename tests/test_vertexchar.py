@@ -70,6 +70,8 @@ def test_legs():
     assert leg.num == mono(V1, t1=3, w=(1,))
     with pytest.raises(VariableSetMismatch):
         leg_alpha(V1, (1, 2))
+    with pytest.raises(VariableSetMismatch, match="box tuple of rank 2"):
+        total_character(V1, BoxTuple((1, 0), (0, 0)), 0)
 
 
 def test_trace_of_bare_line_is_the_pole_term():
