@@ -65,6 +65,11 @@ class AffineWeight(HftError):
     constant, so it has no place in a weight function."""
 
 
+class InexactWeight(HftError):
+    """A form entry is neither an integer nor a Fraction, so the form
+    has no exact primitive representative."""
+
+
 class SpecializationSyntax(HftError):
     """A specialization string could not be parsed."""
 
@@ -240,7 +245,12 @@ def _primitive_forms(rank: int, forms: Sequence[Sequence], den: bool,
             c = gcd(*f)
             m, ints = 1, f
         except TypeError:  # Fraction entries: clear them to integers
-            m = lcm(*[x.denominator for x in f])
+            try:
+                m = lcm(*[x.denominator for x in f])
+            except AttributeError:  # a float, say
+                raise InexactWeight(
+                    "form %r%s has an entry that is neither an integer "
+                    "nor a Fraction" % (tuple(f), where)) from None
             ints = [x.numerator * (m // x.denominator) for x in f]
             c = gcd(*ints)
         if not c:

@@ -62,8 +62,11 @@ rational characters; ``poly_substituted`` and
 uses to change charts; ``binomiality_test``, which recognizes a binomial
 coefficient list; ``box_model``, the Hilbert polynomial model of a
 fixed point; and ``brute_partition``, the multinomial expansion of a
-twisted rank r count series, which the package computes by convolution
-in integers.
+twisted rank r count series.  The package raises that series to the
+rank power by a recurrence in integers; its first road, rank - 1
+truncated convolutions of the series cleared by the lcm of its
+denominators, is kept as ``partition_convolved``, which reaches sizes
+past the brute force.
 """
 
 from __future__ import annotations
@@ -931,3 +934,29 @@ def brute_partition(counts: Mapping, twist: int, rank: int,
             value *= c
         out[degree] = out.get(degree, Fraction(0)) + value
     return {m: c for m, c in sorted(out.items()) if c}
+
+
+def partition_convolved(counts: Mapping, twist: int, rank: int,
+                        order: int) -> dict[int, Fraction]:
+    """Twisted rank r count series by rank - 1 truncated convolutions:
+    merge the counts of each degree, reindex by the twist up to the
+    order, clear the denominators by their lcm L, multiply the cleared
+    series by itself in integers, summing the products that land on a
+    degree once, and divide by L^rank."""
+    merged: Counter = Counter()
+    for m, c in counts.items():
+        if twist * int(m) <= order:
+            merged[twist * int(m)] += Fraction(c)
+    scale = lcm(1, *[c.denominator for c in merged.values()])
+    base = {m: c.numerator * (scale // c.denominator)
+            for m, c in merged.items() if c}
+    out = dict(base)
+    for _ in range(rank - 1):
+        products: dict[int, list[int]] = {}
+        for i, a in out.items():
+            for j, b in base.items():
+                if i + j <= order:
+                    products.setdefault(i + j, []).append(a * b)
+        out = {k: sum(p) for k, p in products.items()}
+    return {m: Fraction(c, scale**rank) for m, c in sorted(out.items())
+            if c}

@@ -562,6 +562,22 @@ def test_counts_past_the_size_budget_exit_two_at_once(tmp_path, capsys):
                        "bits\n"), name
 
 
+def test_unprintable_lowest_coefficient_exits_one_at_once(tmp_path, capsys):
+    # inside the budget, but the lowest coefficient, the long count to the
+    # 16th power, has 68,800 digits; the power of the whole file used more
+    # than 3 GB before it could be refused
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(
+        {"0": "9" * 4300, **{str(m): 1 + m % 9 for m in range(1, 1001)}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, [
+        "partition", "--p-file", str(counts), "--rank", "16", "--order",
+        "1000"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: coefficient of q^0 has more than 4300 digits\n"
+
+
 def test_counts_inside_the_size_budget_run(tmp_path, capsys):
     # 10 counts of 4,300 digits have 142,840 bits, inside the budget; the
     # counts past the order do not count

@@ -12,11 +12,11 @@ from hftvertex.chars import (HftError, LaurentPoly, VariableSet,
                              VariableSetMismatch)
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
 from hftvertex.localize import (AffineWeight, DivisionByZero,
-                                ModeUnavailable, NonIntegerMultiplicity,
-                                SpecializationSyntax, WeightFunction,
-                                ZeroWeight, contribution, form_text,
-                                param_names, parse_specialization, specialize,
-                                weight_function, weights_of)
+                                InexactWeight, ModeUnavailable,
+                                NonIntegerMultiplicity, SpecializationSyntax,
+                                WeightFunction, ZeroWeight, contribution,
+                                form_text, param_names, parse_specialization,
+                                specialize, weight_function, weights_of)
 from oracles import euler_of_minus, specialize_stepwise, ws_to_json
 
 V1 = VariableSet(1)
@@ -72,6 +72,23 @@ def test_weight_function_guards():
         weight_function(1, 1, [], [(0, 0, 0, 0)])
     with pytest.raises(VariableSetMismatch):
         weight_function(1, 1, [(1, 0, 0)])
+
+
+def test_weight_function_refuses_inexact_entries():
+    # a float entry ended in a bare AttributeError from the clearing of
+    # Fraction entries
+    for num, den, context, named in (
+            ([(1.5, 0, 0, 0)], [], None, "form (1.5, 0, 0, 0) has"),
+            ([(Fraction(1, 2), 0.5, 0, 0)], [], None,
+             "form (Fraction(1, 2), 0.5, 0, 0) has"),
+            ([(1, 0, 0, 0)], [(1, 1.0, 0, 0)], "a factor",
+             "form (1, 1.0, 0, 0) in a factor has"),
+            ([("1", 0, 0, 0)], [], None, "form ('1', 0, 0, 0) has")):
+        with pytest.raises(InexactWeight) as err:
+            weight_function(1, 1, num, den, context)
+        assert str(err.value) == named + (
+            " an entry that is neither an integer nor a Fraction")
+        assert isinstance(err.value, HftError)
 
 
 def test_weight_function_arithmetic():

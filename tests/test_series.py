@@ -19,8 +19,8 @@ from hftvertex.series import (BinomialIneligible, InvalidCounts,
                               eq_weight_sum, hft_partition, one_leg_exponent,
                               power, reference_series, weight_sum, ws_unit)
 from oracles import (binomiality_test, brute_partition,
-                     exchanged_canonicalized, leg_strata, weight_sum_grouped,
-                     ws_mul, ws_text, ws_to_json)
+                     exchanged_canonicalized, leg_strata, partition_convolved,
+                     weight_sum_grouped, ws_mul, ws_text, ws_to_json)
 
 
 def wf1(scalar, num=(), den=()):
@@ -494,4 +494,31 @@ def test_hft_partition_matches_brute_force_on_exact_counts(
     assert len(counts) ** rank <= 4096
     got = hft_partition(counts, twist, rank, order)
     assert got == brute_partition(counts, twist, rank, order)
+    assert all(isinstance(c, Fraction) for c in got.values())
+
+
+# Keys with leading zeros name one degree, so the counts of several keys
+# add up there, and may cancel; degrees up to 400 reach past the order.
+_KEYS = st.builds(lambda m, zeros: "0" * zeros + str(m),
+                  st.integers(0, 400), st.integers(0, 2))
+_LONG_COUNTS = st.dictionaries(
+    _KEYS, st.builds(Fraction, st.integers(-10**6, 10**6),
+                     st.sampled_from(_DENOMINATORS)), max_size=12)
+
+
+@settings(deadline=None)
+@given(_LONG_COUNTS, st.integers(0, 3), st.integers(1, 16),
+       st.integers(0, 300))
+@example({"1": 1, "001": -1, "2": Fraction(3, 7), "5": -2}, 1, 16, 300)
+@example({"0": Fraction(5, 998244353), "7": Fraction(-3, 1000003),
+          "300": 1}, 0, 16, 0)
+@example({str(m): Fraction((-1) ** m * (m + 1), _DENOMINATORS[m % 10])
+          for m in range(12)}, 1, 16, 300)
+@example({"100": 2, "0100": -2, "101": Fraction(1, 10007), "400": 9},
+         3, 3, 300)
+def test_hft_partition_matches_the_convolved_road(counts, twist, rank,
+                                                  order):
+    # past the reach of the brute force: up to 12 ** 16 ordered choices
+    got = hft_partition(counts, twist, rank, order)
+    assert got == partition_convolved(counts, twist, rank, order)
     assert all(isinstance(c, Fraction) for c in got.values())

@@ -33,7 +33,7 @@ PUBLIC = {
         "hilbert_poly", "limit_stable_equiv", "rank_coefficient",
         "tau_stability_check"},
     "hftvertex.localize": {
-        "AffineWeight", "DivisionByZero", "ModeUnavailable",
+        "AffineWeight", "DivisionByZero", "InexactWeight", "ModeUnavailable",
         "NonIntegerMultiplicity", "Specialization", "SpecializationSyntax",
         "WeightForm", "WeightFunction", "ZeroWeight", "contribution",
         "form_text", "param_names", "parse_specialization", "specialize",
