@@ -87,12 +87,13 @@ class VariableSet:
         ``w`` lists frame powers starting from w1; unlisted frame
         variables get power zero.
         """
-        ws = [int(x) for x in w]
-        if len(ws) > self.rank:
-            raise VariableSetMismatch(
-                "got %d frame powers for rank %d" % (len(ws), self.rank))
-        ws.extend([0] * (self.rank - len(ws)))
-        return (int(t1), int(t2), int(t3), *ws)
+        exps = (t1, t2, t3, *w)
+        if len(exps) > 3 + self.rank:
+            raise VariableSetMismatch("got %d frame powers for rank %d"
+                                      % (len(exps) - 3, self.rank))
+        if any(type(x) is not int for x in exps):
+            raise ValueError("exponents must be integers: %r" % (exps,))
+        return exps + (0,) * (3 + self.rank - len(exps))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VariableSet) and other.rank == self.rank
@@ -131,10 +132,12 @@ class LaurentPoly:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                e = tuple(int(x) for x in exps)
+                e = tuple(exps)
                 if len(e) != vars.nvars:
                     raise VariableSetMismatch(
                         "exponent tuple %r does not fit %r" % (e, vars))
+                if any(type(x) is not int for x in e):
+                    raise ValueError("exponents must be integers: %r" % (e,))
                 c = clean.get(e, _ZERO) + Fraction(coeff)
                 if c:
                     clean[e] = c

@@ -18,8 +18,9 @@ at the order.  One helper convolves weight sum series:
 whose coefficients are the first leg shares of ``localize``, exchanged
 from the last summand, and ``closed_form_series`` raises a one line
 binomial series to the rank power.  ``hft_partition`` raises a count
-series reindexed by the twist to the rank power in integers, by a
-recurrence that finds each coefficient from the ones below it.
+series reindexed by the twist to the rank power in integers, each
+coefficient from the ones below it, up to the first that ``str()``
+cannot print.
 """
 
 from __future__ import annotations
@@ -412,31 +413,30 @@ def _count_entries(data: Mapping) -> Iterator[tuple[int, Fraction]]:
 # The size budget of a count file, about 45,000 decimal digits: over the
 # counts at or below the order, the bits of each numerator plus those of
 # the lcm L of their denominators, a bound on the counts cleared by L.
-# At the budget, the power at rank 16 and order 1000 takes 0.3 s on
-# counts of even size, and 9 s on small counts with one of 4,300 digits
-# at degree 1, whose powers fill every coefficient.
+# At the budget, rank 16 and order 1000 take 0.3 s on even counts.
 _MAX_COUNT_BITS = 150_000
 
 
 def _int_power(base: Mapping[int, int], n: int, order: int
-               ) -> dict[int, int]:
-    """The n-th power of a sparse integer series, truncated at the order,
-    by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  Written
-    as ``q^m0 * sum p_j q^(g*j)``, with g the gcd of the degree gaps, the
-    power's coefficients satisfy ``P * (P^n)' = n * P' * P^n``, so
-    ``a_0 = p_0^n`` and ``k * p_0 * a_k = sum ((n+1)*j - k) * p_j *
-    a_(k-j)``, an exact integer division.  The walk stops at the order
-    or at the power's top degree, whichever comes first."""
+               ) -> Iterator[tuple[int, int]]:
+    """Each nonzero (degree, coefficient) of the n-th power of a sparse
+    integer series, cut at the order, yielded as it is made, by J.C.P.
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  Written as
+    ``q^m0 * sum p_j q^(g*j)``, with g the gcd of the degree gaps, the
+    power satisfies ``P * (P^n)' = n * P' * P^n``, so ``a_0 = p_0^n``
+    and ``k * p_0 * a_k = sum ((n+1)*j - k) * p_j * a_(k-j)``, an exact
+    integer division.  The walk stops at the order or the top degree."""
     m0 = min(base)
     if n * m0 > order:
-        return {}
-    g = gcd(*[m - m0 for m in base])
+        return
     p0 = base[m0]
+    a = [p0**n]
+    yield n * m0, a[0]
+    g = gcd(*[m - m0 for m in base])
     if not g:
-        return {n * m0: p0**n}
+        return
     steps = sorted(((m - m0) // g, p) for m, p in base.items() if m != m0)
     top = min((order - n * m0) // g, n * steps[-1][0])
-    a = [p0**n]
     for k in range(1, top + 1):
         s = 0
         for j, p in steps:
@@ -444,7 +444,8 @@ def _int_power(base: Mapping[int, int], n: int, order: int
                 break
             s += ((n + 1) * j - k) * p * a[k - j]
         a.append(s // (k * p0))
-    return {n * m0 + g * k: c for k, c in enumerate(a) if c}
+        if a[k]:
+            yield n * m0 + g * k, a[k]
 
 
 def hft_partition(counts: Mapping, twist: int, rank: int,
@@ -453,15 +454,14 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     summand count series: reindex degrees by the twist up to the order,
     clear the denominators by their lcm L, raise the cleared series to
     the rank power in integers (``_int_power``), and divide each
-    coefficient by L^rank.
+    coefficient by L^rank, in ascending degree.
 
     A bad entry raises ``InvalidCounts`` (see ``_count_entries``), and
     so does a file past ``_MAX_COUNT_BITS``, before any long arithmetic.
-    The lowest coefficient is the lowest count to the rank power; if
-    ``str()`` cannot print it (``sys.get_int_max_str_digits()``), no
-    output can hold it, and ``HftError`` is raised before the power
-    runs.  Twist zero collapses the series to a constant; empty input
-    gives zero.
+    Each coefficient is checked as the power makes it: the first that
+    ``str()`` cannot print (``sys.get_int_max_str_digits()``) raises
+    ``HftError`` naming its degree, before any higher one is made.
+    Twist zero collapses the series to a constant; empty input, to zero.
     """
     if rank < 1:
         raise InvalidModel("rank must be at least one")
@@ -485,14 +485,16 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     base = {m: n for m, n in cleared.items() if n}
     if not base:
         return {}
-    m0 = min(base)
-    if rank * m0 <= order:
+    # the first power is the cleared series, already cut at the order
+    terms = (_int_power(base, rank, order) if rank > 1
+             else sorted(base.items()))
+    denominator = scale**rank
+    out: CountSeries = {}
+    for m, c in terms:
+        out[m] = Fraction(c, denominator)
         try:
-            str(Fraction(base[m0], scale) ** rank)
+            str(out[m])
         except ValueError:  # str() of an int past its digit limit
             raise HftError("coefficient of q^%d has more than %d digits"
-                           % (rank * m0, sys.get_int_max_str_digits())
-                           ) from None
-    # the first power is the cleared series, already cut at the order
-    out = _int_power(base, rank, order) if rank > 1 else base
-    return {m: Fraction(c, scale**rank) for m, c in sorted(out.items())}
+                           % (m, sys.get_int_max_str_digits())) from None
+    return out

@@ -42,6 +42,11 @@ def test_variable_set_basics():
     for rank in (-1, 2.5, True, "2"):
         with pytest.raises(ValueError):
             VariableSet(rank)
+    # a power that is not an int is refused, never truncated to one
+    for powers in ({"t1": 1.5, "w": (True, 0.9)}, {"t2": True},
+                   {"t3": 2.0}, {"w": (1, Fraction(1, 2))}, {"t1": "1"}):
+        with pytest.raises(ValueError):
+            V2.mono(**powers)
 
 
 def test_grlex_key_orders_by_degree_then_tuple():
@@ -122,6 +127,15 @@ def test_poly_cross_rank_mismatch():
         LaurentPoly.one(V1) + LaurentPoly.one(V2)
     with pytest.raises(VariableSetMismatch):
         LaurentPoly(V1, {V2.unit(): 1})
+
+
+def test_poly_refuses_non_integer_exponents():
+    for exps in ((1.5, 0, 0, 0), (True, 0, 0, 0), (0, 0, 0, 0.9),
+                 (0, Fraction(2), 0, 0)):
+        with pytest.raises(ValueError):
+            LaurentPoly(V1, {exps: 1})
+    assert LaurentPoly(V1, {(2, 0, -1, 1): 3}).terms == {
+        (2, 0, -1, 1): Fraction(3)}
 
 
 def test_divide_one_minus_oracles():

@@ -578,6 +578,22 @@ def test_unprintable_lowest_coefficient_exits_one_at_once(tmp_path, capsys):
     assert err == "error: coefficient of q^0 has more than 4300 digits\n"
 
 
+def test_unprintable_higher_coefficient_exits_one_at_once(tmp_path, capsys):
+    # the lowest coefficient is 1, but 16 times the long count at q^1 has
+    # 4,302 digits; the coefficients are checked as the power makes them,
+    # so the run stops there instead of first filling all 1,001 of them
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(
+        {**{str(m): 1 for m in range(1001)}, "1": "9" * 4300}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, [
+        "partition", "--p-file", str(counts), "--rank", "16", "--order",
+        "1000", "--twist", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: coefficient of q^1 has more than 4300 digits\n"
+
+
 def test_counts_inside_the_size_budget_run(tmp_path, capsys):
     # 10 counts of 4,300 digits have 142,840 bits, inside the budget; the
     # counts past the order do not count

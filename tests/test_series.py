@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hftvertex.chars import VariableSet
+from hftvertex.chars import HftError, VariableSet
 from hftvertex.fixedpoints import BoxTuple, InvalidModel
 from hftvertex.localize import (DivisionByZero, ModeUnavailable,
                                 _exchanged, contribution,
@@ -522,3 +523,47 @@ def test_hft_partition_matches_the_convolved_road(counts, twist, rank,
     got = hft_partition(counts, twist, rank, order)
     assert got == partition_convolved(counts, twist, rank, order)
     assert all(isinstance(c, Fraction) for c in got.values())
+
+
+def _printable(value: Fraction) -> bool:
+    try:
+        str(value)
+    except ValueError:
+        return False
+    return True
+
+
+# numerators of up to 127 digits, so that under a 640-digit str() limit
+# the powers up to rank 8 print at low degrees and may not at high ones
+_WIDE_COUNTS = st.dictionaries(
+    st.integers(0, 6),
+    st.builds(lambda n, e, d: Fraction(n * 10**e, d),
+              st.integers(-10**6, 10**6), st.integers(0, 120),
+              st.sampled_from(_DENOMINATORS)),
+    max_size=5)
+
+
+@settings(deadline=None)
+@given(_WIDE_COUNTS, st.integers(0, 3), st.integers(1, 8),
+       st.integers(0, 40))
+@example({0: 1, 1: 10**200}, 1, 4, 4)
+@example({0: 1, 3: 10**700, 4: 10**800}, 1, 1, 5)
+@example({0: 10**100, 1: 1}, 1, 8, 4)
+@example({1: 10**80, 2: Fraction(1, 998244353)}, 2, 8, 40)
+def test_hft_partition_stops_at_the_lowest_unprintable_coefficient(
+        counts, twist, rank, order):
+    expected = partition_convolved(counts, twist, rank, order)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        bad = [m for m, c in expected.items() if not _printable(c)]
+        if not bad:
+            got = hft_partition(counts, twist, rank, order)
+            assert got == expected and list(got) == sorted(got)
+        else:
+            with pytest.raises(HftError) as err:
+                hft_partition(counts, twist, rank, order)
+            assert str(err.value) == (
+                "coefficient of q^%d has more than 640 digits" % min(bad))
+    finally:
+        sys.set_int_max_str_digits(limit)
