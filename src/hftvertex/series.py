@@ -16,7 +16,8 @@ All three series here are products of one summand series, truncated
 at the order.  One helper convolves weight sum series:
 ``assemble_vertex`` multiplies the leg series of the r frame summands,
 whose coefficients are the first leg shares of ``localize``, exchanged
-from the last summand, and ``closed_form_series`` raises a one line
+from the last summand, each share of a boxes the one of a - 1 boxes
+times a one box share; ``closed_form_series`` raises a one line
 binomial series to the rank power.  ``hft_partition`` raises a count
 series reindexed by the twist to the rank power in integers, each
 coefficient from the ones below it, up to the first that ``str()``
@@ -36,9 +37,8 @@ from math import gcd, lcm
 from .chars import HftError, VariableSet
 from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       _check_mode, _exchanged, _product, _wf_text,
-                       _value_parts, contribution, specialize,
-                       weight_function)
+                       _check_mode, _exchanged, _product, _share,
+                       _value_parts, _wf_text, specialize, weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
 
@@ -225,13 +225,15 @@ def assemble_vertex(rank: int, twist: int, order: int,
     leg strata with k boxes.  The order zero coefficient is one.
 
     The series is the convolution product of the r leg series of the
-    frame summands.  At each order a, the share of the last summand is
-    the contribution of the fixed point with a boxes there, and
-    ``_exchanged`` gives the share of each summand j.  A specialization
-    applies to each share separately, for a ascending and, for each a, j
-    descending: the order in which the lexicographic strata first reach
-    them, so an error names the fixed point the strata would reach
-    first."""
+    frame summands.  A first leg character of a boxes at twist t is the
+    sum of the one box characters at twists t to t + a - 1, and so are
+    the paper factors: the share of the last summand at order a is the
+    one at order a - 1 times a one box share, whose errors name the
+    fixed point with a boxes there.  ``_exchanged`` gives the share of
+    each summand j.  A specialization applies to each share separately,
+    for a ascending and, for each a, j descending: the order in which
+    the lexicographic strata first reach them, so an error names the
+    fixed point the strata would reach first."""
     if rank < 1:
         raise InvalidModel("rank must be at least one")
     if order < 0:
@@ -240,9 +242,12 @@ def assemble_vertex(rank: int, twist: int, order: int,
     vars = VariableSet(rank)
     legs = [{0: ws_unit(rank)} for _ in range(rank)]
     zeros = (0,) * rank
+    last = weight_function(rank, 1)
     for a in range(1, order + 1):
-        last = contribution(vars, BoxTuple(zeros[1:] + (a,), zeros),
-                            twist, mode)
+        context = "contribution of %r at twist %d" % (
+            BoxTuple(zeros[1:] + (a,), zeros), twist)
+        last = _product(rank, (last, _share(
+            vars, 1, 0, twist + a - 1, mode, context)))
         for j in reversed(range(rank)):
             wf = _exchanged(last, j)
             if spec is not None and not spec.is_trivial():
@@ -388,14 +393,16 @@ CountSeries = dict[int, Fraction]
 
 def _count_entries(data: Mapping) -> Iterator[tuple[int, Fraction]]:
     """Degree and count of each entry with a nonzero count, in order:
-    integer keys at least zero, exact rational values (integers,
-    Fractions or strings such as ``"3/2"``).  Floats and booleans are
-    refused rather than converted."""
+    integer keys at least zero or strings of ASCII digits (``int()``
+    also reads ``"1_0"``, ``" 2 "``, ``"+3"`` and other scripts' digits),
+    exact rational values (integers, Fractions or strings such as
+    ``"3/2"``).  Floats and booleans are refused rather than converted."""
     for key, value in data.items():
         # refused before converting: Fraction of an infinite float raises
         # OverflowError
         bad = isinstance(key, (bool, float)) or isinstance(
-            value, (bool, float))
+            value, (bool, float)) or isinstance(key, str) and not (
+                key.isascii() and key.removeprefix("-").isdigit())
         if not bad:
             try:
                 m = int(key)
@@ -404,8 +411,8 @@ def _count_entries(data: Mapping) -> Iterator[tuple[int, Fraction]]:
                 bad = True
         if bad:
             raise InvalidCounts("bad count entry %r: %r" % (key, value))
-        if m < 0:
-            raise InvalidCounts("negative degree %d in a count series" % m)
+        if m < 0 or isinstance(key, str) and key[0] == "-":
+            raise InvalidCounts("negative degree %s in a count series" % key)
         if c:
             yield m, c
 
@@ -489,12 +496,15 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     terms = (_int_power(base, rank, order) if rank > 1
              else sorted(base.items()))
     denominator = scale**rank
+    limit = sys.get_int_max_str_digits()  # zero is no limit
     out: CountSeries = {}
     for m, c in terms:
         out[m] = Fraction(c, denominator)
-        try:
-            str(out[m])
-        except ValueError:  # str() of an int past its digit limit
-            raise HftError("coefficient of q^%d has more than %d digits"
-                           % (m, sys.get_int_max_str_digits())) from None
+        # b bits hold fewer than b/3 + 1 digits, which str() prints
+        if limit and max(abs(c), denominator).bit_length() >= 3 * limit:
+            try:
+                str(out[m])
+            except ValueError:  # str() of an int past its digit limit
+                raise HftError("coefficient of q^%d has more than %d digits"
+                               % (m, limit)) from None
     return out

@@ -36,7 +36,11 @@ get the others.  So is the enumeration road to the vertex series:
 ``assemble_vertex_enumerated`` sums, order by order,
 the contribution of every first leg stratum listed by ``leg_strata``,
 where the package multiplies the leg series of the frame summands, and
-``ws_mul`` multiplies two weight sums term by term.  The first roads of
+``ws_mul`` multiplies two weight sums term by term, and so is the
+whole share road ``assemble_vertex_whole``, which builds the share of a
+boxes from the contribution of the a box fixed point at every order,
+where the package multiplies the share of a - 1 boxes by a one box
+share.  The first roads of
 two steps of that product stay too: ``exchanged_canonicalized``
 exchanges v_j and v_r in every form and canonicalizes the result again,
 where the package permutes the canonical forms and fixes their signs;
@@ -87,11 +91,12 @@ from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
                                    InvalidModel, compositions, hilbert_poly)
 from hftvertex.localize import (AffineWeight, DivisionByZero, Specialization,
                                 WeightForm, WeightFunction, ZeroWeight,
-                                _parse_affine, _var_index,
+                                _exchanged, _parse_affine, _var_index,
                                 contribution, form_text, param_names,
                                 specialize, weight_function, weights_of)
 from hftvertex.series import (BinomialIneligible, VertexSeries, WeightSum,
-                              _ws_json, _ws_text, binomial_series,
+                              _ws_json, _ws_product, _ws_text,
+                              binomial_series,
                               eq_weight_sum, weight_sum, ws_unit)
 from hftvertex.vertexchar import frame_sum, total_character
 
@@ -613,6 +618,33 @@ def assemble_vertex_enumerated(rank: int, twist: int, order: int,
     return VertexSeries(rank, twist, order, mode,
                         spec.source if spec is not None else "",
                         tuple(coeffs))
+
+
+def assemble_vertex_whole(rank: int, twist: int, order: int,
+                          mode: str = "character",
+                          spec: Specialization | None = None
+                          ) -> VertexSeries:
+    """The vertex series from whole shares: at each order a, the share
+    of the last summand is the contribution of the fixed point with a
+    boxes there, built from its whole character (or all its printed
+    factors), exchanged and specialized as the package does."""
+    vars = VariableSet(rank)
+    legs = [{0: ws_unit(rank)} for _ in range(rank)]
+    zeros = (0,) * rank
+    for a in range(1, order + 1):
+        last = contribution(vars, BoxTuple(zeros[1:] + (a,), zeros),
+                            twist, mode)
+        for j in reversed(range(rank)):
+            wf = _exchanged(last, j)
+            if spec is not None and not spec.is_trivial():
+                box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
+                wf = specialize(wf, spec, "contribution of %r at twist %d"
+                                % (box, twist))
+            legs[j][a] = weight_sum(rank, [wf])
+    out = _ws_product(rank, legs, order)
+    return VertexSeries(rank, twist, order, mode,
+                        spec.source if spec is not None else "",
+                        tuple(out.get(k, ()) for k in range(order + 1)))
 
 
 def evaluate_fraction(wf, point) -> Fraction:

@@ -226,7 +226,8 @@ def test_exit_code_two_on_bad_files(tmp_path, capsys):
     bad.write_text(json.dumps({"-1": 1}))
     code, _, err = run(capsys, ["partition", "--p-file", str(bad)])
     assert code == 2 and "negative degree" in err
-    for entry in ({"x": 1}, {"1": "1/0"}, {"1": 0.1}, {"1": True}):
+    for entry in ({"x": 1}, {"1": "1/0"}, {"1": 0.1}, {"1": True},
+                  {"1_0": 1}, {" 2 ": 1}, {"+3": 1}, {"\u0664": 1}):
         bad.write_text(json.dumps(entry))
         code, out, err = run(capsys, ["partition", "--p-file", str(bad)])
         assert code == 2 and out == "", entry
@@ -501,6 +502,20 @@ def test_series_at_the_size_limit_run(capsys):
     for argv in ("vertex --rank 3 --order 11", "vertex --rank 16 --order 2"):
         code, out, err = run(capsys, argv.split())
         assert code == 0 and err == "", argv
+
+
+@pytest.mark.parametrize("argv, last", [
+    ("vertex --rank 1 --order 399", "\nc[399] = "),
+    ("compare --rank 1 --order 399", "\nk = 399\n")],
+    ids=["vertex", "compare"])
+def test_first_leg_series_at_the_order_limit_runs_at_once(capsys, argv,
+                                                           last):
+    # one one box share per order keeps the longest first leg series
+    # well under a second
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == "" and last in out
 
 
 def test_partition_past_the_size_limit_exits_two_at_once(tmp_path, capsys):

@@ -81,7 +81,8 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8)
 _DEGREES = st.one_of(st.integers(-2, 6).map(str),
-                     st.sampled_from(["1e3", _LONG, "x", "1.5", ""]))
+                     st.sampled_from(["1e3", _LONG, "x", "1.5", "", "1_0",
+                                      " 2 ", "+3", "\u0664", "-0", "01"]))
 
 
 def _dumps(doc) -> bytes:

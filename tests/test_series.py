@@ -434,6 +434,15 @@ def test_count_series_normalization():
                  {1: float("nan")}):
         with pytest.raises(InvalidCounts):
             hft_partition(data, 1, 1, 2)
+    # only ASCII digits name a degree, though int() also reads "1_0",
+    # " 2 ", "+3" and other scripts' digits
+    for key in ("1_0", " 2 ", "+3", "\u0664", "\uff12", "\u00b2", "", "-",
+                "0x5", "1.0"):
+        with pytest.raises(InvalidCounts, match="^bad count entry "):
+            hft_partition({key: 1}, 1, 1, 20)
+    for key in ("-1", "-0", "-01", -1):
+        with pytest.raises(InvalidCounts, match="^negative degree "):
+            hft_partition({key: 1}, 1, 1, 20)
 
 
 def test_hft_partition_oracles():

@@ -15,7 +15,7 @@ values and errors alike, against the stratum by stratum sum of
 
 from functools import cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hftvertex.chars import HftError, LaurentPoly, VariableSet
@@ -24,8 +24,8 @@ from hftvertex.localize import (contribution, parse_specialization,
                                 specialize, weight_function)
 from hftvertex.series import assemble_vertex, weight_sum
 from hftvertex.vertexchar import alpha_block, beta_block, total_character
-from oracles import (assemble_vertex_enumerated, contribution_whole,
-                     leg_strata, ws_text)
+from oracles import (assemble_vertex_enumerated, assemble_vertex_whole,
+                     contribution_whole, leg_strata, ws_text)
 from test_localize import _affine_assignments
 
 VARS = {rank: VariableSet(rank) for rank in (1, 2, 3, 4, 5)}
@@ -216,3 +216,46 @@ def test_assemble_vertex_matches_enumeration_at_negative_twists():
                                        rank, twist, 3, mode)
                 outcomes.add(type(got))
     assert outcomes == {list, tuple}
+
+
+
+@st.composite
+def _series_cases(draw):
+    """Rank 1 to 4, twist -4 to 3, either mode, with no specialization,
+    a fixed one or a drawn affine one, and an order up to the size the
+    whole share oracle takes in milliseconds."""
+    rank = draw(st.integers(1, 4))
+    order = draw(st.integers(0, (12, 6, 4, 3)[rank - 1]))
+    twist = draw(st.integers(-4, 3))
+    mode = draw(st.sampled_from(MODES))
+    fixed = ["", "s3=-s1-s2", "s3=-s1-s2,v1=1", "s1=0", "s2=-s3", "v1=1",
+             "s1=s2+1"]
+    if rank >= 2:
+        fixed += ["s3=-s1-s2,v2=v1", "s1=v1-v2"]
+    text = draw(st.one_of(st.sampled_from(fixed),
+                          _affine_assignments(rank)))
+    return rank, twist, order, mode, text
+
+
+@settings(deadline=None, max_examples=300)
+@given(_series_cases())
+@example((1, -3, 5, "character", ""))  # the unit monomial at a = 3
+@example((1, -2, 4, "paper", ""))  # a zero denominator at a = 2
+@example((3, 1, 4, "paper", "s1=v1-v2"))  # frame forms specialized
+@example((2, 0, 6, "character", "s3=-s1-s2,v2=v1"))
+@example((4, 0, 3, "character", "s1=0"))  # a denominator killed
+def test_assemble_vertex_matches_the_whole_share_road(case):
+    """Each first leg share built from the one before times a one box
+    share gives the coefficients, or the error class and message, of
+    the shares built from the whole character (or all the printed
+    factors) at each order."""
+    rank, twist, order, mode, text = case
+    spec = parse_specialization(rank, text) if text else None
+    got = _outcome(_coefficients, assemble_vertex, rank, twist, order, mode,
+                   spec)
+    assert got == _outcome(_coefficients, assemble_vertex_whole, rank, twist,
+                           order, mode, spec), case
+
+
+def _coefficients(build, *args):
+    return build(*args).coefficients
