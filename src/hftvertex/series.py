@@ -15,9 +15,9 @@ canonical difference, where shared terms cancel, over its lcd.
 All three series here are products of one summand series, truncated
 at the order.  One helper convolves weight sum series:
 ``assemble_vertex`` multiplies the leg series of the r frame summands,
-whose coefficients are the first leg shares of ``localize``, exchanged
-from the last summand, each share of a boxes the one of a - 1 boxes
-times a one box share; ``closed_form_series`` raises a one line
+whose coefficients are the first leg shares of ``localize``: the share
+of a boxes is the one of a - 1 boxes times one box share, exchanged and
+specialized once per summand; ``closed_form_series`` raises a one line
 binomial series to the rank power.  ``hft_partition`` raises a count
 series reindexed by the twist to the rank power in integers, each
 coefficient from the ones below it, up to the first that ``str()``
@@ -76,6 +76,15 @@ def weight_sum(rank: int, items: Sequence[WeightFunction]) -> WeightSum:
                 out.append(WeightFunction(rank, scalar, wf.num, wf.den))
         i = j
     return tuple(out)
+
+
+def _check_integers(**args) -> None:
+    """Refuse by type, as ``BoxTuple`` does, an argument that is not an
+    int, so that neither a bool, a float nor a Fraction is read as one."""
+    for name, value in args.items():
+        if type(value) is not int:
+            raise InvalidModel("%s must be an integer, not %r"
+                               % (name, value))
 
 
 def _check_ranks(rank: int, items: Sequence[WeightFunction]) -> None:
@@ -227,13 +236,14 @@ def assemble_vertex(rank: int, twist: int, order: int,
     The series is the convolution product of the r leg series of the
     frame summands.  A first leg character of a boxes at twist t is the
     sum of the one box characters at twists t to t + a - 1, and so are
-    the paper factors: the share of the last summand at order a is the
-    one at order a - 1 times a one box share, whose errors name the
-    fixed point with a boxes there.  ``_exchanged`` gives the share of
-    each summand j.  A specialization applies to each share separately,
-    for a ascending and, for each a, j descending: the order in which
-    the lexicographic strata first reach them, so an error names the
-    fixed point the strata would reach first."""
+    the paper factors: the share of summand j at order a is the one at
+    a - 1 times the one box share at twist t + a - 1 (its errors name
+    the a-box point of the last summand), exchanged to j and specialized
+    once, for a ascending and j descending as the strata reach them.
+    No form cancels across steps (each numerator has an s2 coefficient
+    of -1, no denominator an s2 term), so a share holds its steps' forms
+    and fails to specialize on the factor the whole share would."""
+    _check_integers(rank=rank, twist=twist, order=order)
     if rank < 1:
         raise InvalidModel("rank must be at least one")
     if order < 0:
@@ -241,21 +251,18 @@ def assemble_vertex(rank: int, twist: int, order: int,
     _check_mode(mode)
     vars = VariableSet(rank)
     legs = [{0: ws_unit(rank)} for _ in range(rank)]
+    shares = [weight_function(rank, 1)] * rank
     zeros = (0,) * rank
-    last = weight_function(rank, 1)
     for a in range(1, order + 1):
-        context = "contribution of %r at twist %d" % (
-            BoxTuple(zeros[1:] + (a,), zeros), twist)
-        last = _product(rank, (last, _share(
-            vars, 1, 0, twist + a - 1, mode, context)))
+        step = _share(vars, 1, 0, twist + a - 1, mode,
+                      "contribution of %r at twist %d"
+                      % (BoxTuple(zeros[1:] + (a,), zeros), twist))
         for j in reversed(range(rank)):
-            wf = _exchanged(last, j)
-            if spec is not None and not spec.is_trivial():
-                box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
-                wf = specialize(
-                    wf, spec, "contribution of %r at twist %d"
-                    % (box, twist))
-            legs[j][a] = weight_sum(rank, [wf])
+            box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
+            shares[j] = _product(rank, (shares[j], specialize(
+                _exchanged(step, j), spec,
+                "contribution of %r at twist %d" % (box, twist))))
+            legs[j][a] = (shares[j],)
     out = _ws_product(rank, legs, order)
     return VertexSeries(rank, twist, order, mode,
                         spec.source if spec is not None else "",
@@ -283,6 +290,7 @@ def binomial_series(exponent: WeightFunction, order: int
     The exponent must be a bare scalar or a scalar times a single form
     over a single form; anything else raises ``BinomialIneligible``.
     """
+    _check_integers(order=order)
     rank = exponent.rank
     shape = (len(exponent.num), len(exponent.den))
     if shape not in ((0, 0), (1, 1)):
@@ -320,6 +328,7 @@ def _ws_product(rank: int, factors: Sequence[Mapping[int, WeightSum]],
 def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
           order: int) -> list[WeightSum]:
     """Truncated convolution power of a coefficient list."""
+    _check_integers(exponent=exponent, order=order)
     if exponent < 0:
         raise InvalidModel("negative convolution power")
     if order < 0:
@@ -341,13 +350,13 @@ def closed_form_series(rank: int, twist: int, order: int,
                        spec: Specialization | None = None) -> VertexSeries:
     """Closed form prediction: the binomial series with exponent
     (twist + 1) * (s2 + s3)/s1, raised to the rank power."""
+    _check_integers(rank=rank, twist=twist, order=order)
     if rank < 1:
         raise InvalidModel("rank must be at least one")
     if order < 0:
         raise InvalidModel("order must be nonnegative")
-    exponent = one_leg_exponent(rank).scaled(twist + 1)
-    if spec is not None and not spec.is_trivial():
-        exponent = specialize(exponent, spec, "closed form exponent")
+    exponent = specialize(one_leg_exponent(rank).scaled(twist + 1), spec,
+                          "closed form exponent")
     line = binomial_series(exponent, order)
     coeffs = power(rank, [weight_sum(rank, [w]) for w in line], rank, order)
     return VertexSeries(rank, twist, order, "closed_form",
@@ -360,6 +369,7 @@ def reference_series(rank: int, twist: int, order: int
     """Scalar reference row: the binomial coefficients of
     (1 + q) ** (-(twist + 1) * rank), the value the closed form takes on
     the Calabi Yau slice."""
+    _check_integers(rank=rank, twist=twist, order=order)
     exponent = weight_function(rank, -(twist + 1) * rank)
     return [weight_sum(rank, [w])
             for w in binomial_series(exponent, order)]
@@ -396,13 +406,14 @@ def _count_entries(data: Mapping) -> Iterator[tuple[int, Fraction]]:
     integer keys at least zero or strings of ASCII digits (``int()``
     also reads ``"1_0"``, ``" 2 "``, ``"+3"`` and other scripts' digits),
     exact rational values (integers, Fractions or strings such as
-    ``"3/2"``).  Floats and booleans are refused rather than converted."""
+    ``"3/2"``).  Float and boolean values, and keys of any other type
+    (a bool, a float, a Fraction), are refused rather than converted."""
     for key, value in data.items():
         # refused before converting: Fraction of an infinite float raises
-        # OverflowError
-        bad = isinstance(key, (bool, float)) or isinstance(
-            value, (bool, float)) or isinstance(key, str) and not (
-                key.isascii() and key.removeprefix("-").isdigit())
+        # OverflowError, and int() truncates a Fraction or a Decimal key
+        bad = isinstance(value, (bool, float)) or not (
+            type(key) is int or isinstance(key, str) and key.isascii()
+            and key.removeprefix("-").isdigit())
         if not bad:
             try:
                 m = int(key)
@@ -470,6 +481,7 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     ``HftError`` naming its degree, before any higher one is made.
     Twist zero collapses the series to a constant; empty input, to zero.
     """
+    _check_integers(twist=twist, rank=rank, order=order)
     if rank < 1:
         raise InvalidModel("rank must be at least one")
     if twist < 0:

@@ -518,6 +518,22 @@ def test_first_leg_series_at_the_order_limit_runs_at_once(capsys, argv,
     assert code == 0 and err == "" and last in out
 
 
+@pytest.mark.parametrize("argv, last", [
+    ("vertex --rank 1 --order 399 --specialize s3=-s1-s2", "\nc[399] = "),
+    ("vertex --rank 1 --order 399 --mode paper --specialize s3=-s1-s2",
+     "\nc[399] = "),
+    ("compare --rank 1 --order 399 --specialize s3=-s1-s2", "\nk = 399\n")],
+    ids=["vertex", "paper", "compare"])
+def test_specialized_first_leg_series_at_the_order_limit_run_at_once(
+        capsys, argv, last):
+    # each one box step is specialized once, not each whole share, so
+    # a specialization adds work linear in the order
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv.split())
+    assert time.perf_counter() - start < 0.3
+    assert code == 0 and err == "" and last in out
+
+
 def test_partition_past_the_size_limit_exits_two_at_once(tmp_path, capsys):
     # --rank 1000000000 built a list of a billion references first
     counts = tmp_path / "counts.json"

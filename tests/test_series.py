@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -434,6 +435,11 @@ def test_count_series_normalization():
                  {1: float("nan")}):
         with pytest.raises(InvalidCounts):
             hft_partition(data, 1, 1, 2)
+    # a key is read by type: int() would truncate these to a degree
+    for key in (Fraction(3, 2), Fraction(2), Decimal("2.7"), Decimal(2),
+                True, 2.0):
+        with pytest.raises(InvalidCounts, match="^bad count entry "):
+            hft_partition({key: 1}, 1, 1, 10)
     # only ASCII digits name a degree, though int() also reads "1_0",
     # " 2 ", "+3" and other scripts' digits
     for key in ("1_0", " 2 ", "+3", "\u0664", "\uff12", "\u00b2", "", "-",
@@ -443,6 +449,41 @@ def test_count_series_normalization():
     for key in ("-1", "-0", "-01", -1):
         with pytest.raises(InvalidCounts, match="^negative degree "):
             hft_partition({key: 1}, 1, 1, 20)
+
+
+_NOT_INTEGERS = (Fraction(1, 2), Fraction(2), 2.0, 0.5, True, Decimal(2),
+                 "2", None)
+_ENTRY_POINTS = {
+    "assemble_vertex": lambda rank, twist, order: assemble_vertex(
+        rank, twist, order),
+    "closed_form_series": closed_form_series,
+    "reference_series": reference_series,
+    "compare_rows": compare_rows,
+    "hft_partition": lambda rank, twist, order: hft_partition(
+        {1: 1}, twist, rank, order),
+}
+
+
+@pytest.mark.parametrize("argument", ("rank", "twist", "order"))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_series_entry_points_refuse_non_integers(entry, argument):
+    # refused by type and named, where a half twist gave a half degree,
+    # an order of 10.5 ran to 10 and a float rank or twist ended in a
+    # bare TypeError or AttributeError
+    for value in _NOT_INTEGERS:
+        args = {"rank": 2, "twist": 1, "order": 3, argument: value}
+        with pytest.raises(InvalidModel, match="^%s must be an integer, "
+                           "not " % argument):
+            _ENTRY_POINTS[entry](**args)
+
+
+def test_power_and_binomial_series_refuse_non_integers():
+    line = [ws_unit(1), ws_unit(1)]
+    for exponent, order in ((2.0, 3), (2, 3.0), (True, 3), (2, Fraction(3))):
+        with pytest.raises(InvalidModel, match="must be an integer, not "):
+            power(1, line, exponent, order)
+    with pytest.raises(InvalidModel, match="^order must be an integer, "):
+        binomial_series(one_leg_exponent(1), 10.5)
 
 
 def test_hft_partition_oracles():

@@ -15,13 +15,16 @@ values and errors alike, against the stratum by stratum sum of
 
 from functools import cache
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hftvertex import series
 from hftvertex.chars import HftError, LaurentPoly, VariableSet
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
-from hftvertex.localize import (contribution, parse_specialization,
-                                specialize, weight_function)
+from hftvertex.localize import (DivisionByZero, contribution,
+                                parse_specialization, specialize,
+                                weight_function)
 from hftvertex.series import assemble_vertex, weight_sum
 from hftvertex.vertexchar import alpha_block, beta_block, total_character
 from oracles import (assemble_vertex_enumerated, assemble_vertex_whole,
@@ -244,6 +247,9 @@ def _series_cases(draw):
 @example((3, 1, 4, "paper", "s1=v1-v2"))  # frame forms specialized
 @example((2, 0, 6, "character", "s3=-s1-s2,v2=v1"))
 @example((4, 0, 3, "character", "s1=0"))  # a denominator killed
+# the first failing step is on a summand j < r - 1 at a = 2
+@example((2, 0, 4, "character", "v1=v2+2*s1"))
+@example((3, 1, 4, "character", "v1=v2-3*s1"))
 def test_assemble_vertex_matches_the_whole_share_road(case):
     """Each first leg share built from the one before times a one box
     share gives the coefficients, or the error class and message, of
@@ -259,3 +265,31 @@ def test_assemble_vertex_matches_the_whole_share_road(case):
 
 def _coefficients(build, *args):
     return build(*args).coefficients
+
+
+def test_assemble_vertex_specializes_each_step_once(monkeypatch):
+    """The forms ``assemble_vertex`` hands to ``specialize`` grow
+    linearly with the order: each one box step, two forms at rank one,
+    is specialized once, never a whole share of a boxes."""
+    sizes = []
+
+    def counted(wf, spec, context=None):
+        sizes.append(len(wf.num) + len(wf.den))
+        return specialize(wf, spec, context)
+
+    monkeypatch.setattr(series, "specialize", counted)
+    assemble_vertex(1, 0, 50, "character",
+                    parse_specialization(1, "s3=-s1-s2"))
+    assert sizes == [2] * 50
+
+
+@pytest.mark.parametrize("case, box", [
+    ((2, 0, 4, "character", "v1=v2+2*s1"), "alpha=(2, 0)"),
+    ((3, 1, 4, "character", "v1=v2-3*s1"), "alpha=(0, 2, 0)")])
+def test_a_refused_step_names_its_summand_and_order(case, box):
+    rank, twist, order, mode, text = case
+    with pytest.raises(DivisionByZero) as err:
+        assemble_vertex(rank, twist, order, mode,
+                        parse_specialization(rank, text))
+    assert box in str(err.value)
+    assert str(err.value).endswith(" at twist %d" % twist)

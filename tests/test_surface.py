@@ -6,13 +6,16 @@ pin makes every change to the surface a deliberate edit here: a new
 name must be added, and a name that moved into ``tests/oracles.py``
 cannot come back unnoticed.  Each public name must also have a caller
 in the package or in the benchmark scripts, so code that only the
-tests call moves into the tests.
+tests call moves into the tests.  The package also stays exact and
+self-contained: no float, no true division and no import from outside
+the standard library.
 """
 
 import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,53 @@ def test_every_public_name_has_a_caller():
                 n, ast.Name)} & bound - _names_of(node)
         public |= _defined_names(path)
     assert sorted(public - called) == []
+
+
+# the functions of ``math`` that take and give integers only
+_INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
+def _inexact(tree):
+    """Line and reason of each node that would bring a float or a
+    runtime dependency into a module: an import from outside the
+    standard library, a ``math`` import other than an integer function,
+    a float literal, ``/`` or ``/=``, or a call of ``float``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported = [(node.module, a.name) for a in node.names]
+        else:
+            imported = []
+        for module, name in imported:
+            top = module.partition(".")[0]
+            text = module if name is None else "%s.%s" % (module, name)
+            if top not in sys.stdlib_module_names:
+                yield node.lineno, "import of " + text
+            elif top == "math" and name not in _INTEGER_MATH:
+                yield node.lineno, "import of " + text
+        if isinstance(node, ast.Constant) and isinstance(
+                node.value, (float, complex)):
+            yield node.lineno, "float literal"
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Div):
+            yield node.lineno, "true division"
+        if isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno, "call of float"
+
+
+def test_the_package_stays_exact_and_self_contained():
+    found = []
+    for name in PUBLIC:
+        path = importlib.import_module(name).__file__
+        found += [(name, *hit) for hit in _inexact(_tree(path))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy", "from sympy import Rational", "import math",
+    "from math import sqrt", "x = 0.5", "x = 1e3", "y = x / 2", "x /= 2",
+    "y = float(x)"])
+def test_inexact_code_is_found(source):
+    assert len(list(_inexact(ast.parse(source)))) == 1
