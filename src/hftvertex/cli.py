@@ -26,8 +26,9 @@ from .fixedpoints import (FrozenTripleModel, InvalidModel, hilbert_poly,
                           limit_stable_equiv, tau_stability_check)
 from .localize import (Specialization, SpecializationSyntax,
                        parse_specialization)
-from .series import (InvalidCounts, _ws_json, _ws_text, assemble_vertex,
-                     closed_form_series, compare_rows, hft_partition)
+from .series import (InvalidCounts, _OUTPUT_DIGITS, _ws_json, _ws_text,
+                     assemble_vertex, closed_form_series, compare_rows,
+                     hft_partition)
 
 
 class UsageError(Exception):
@@ -57,9 +58,10 @@ _nonnegative = _int_at_least(0)
 # the digits of the twist and the specialization, whose parsing takes
 # seconds at 100,000 characters; that of ``partition`` with the rank and
 # the order squared.  A specialization adds one one box step per order
-# and summand.  At the limits a run takes at most about 1.3 s on a
-# 2-core VM; the slowest spends most of it in the equality checks of
-# ``compare``.
+# and summand.  At the limits a run takes at most about 0.4 s on a
+# 2-core VM, ``compare --rank 16 --order 2``, most of it in the equality
+# checks; a ``compare`` whose output cannot be printed stops before
+# them.
 _MAX_RANK = 16
 _MAX_FIXED_POINTS = 400
 _MAX_PARTITION_ORDER = 1000
@@ -251,8 +253,8 @@ def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> int:
         payload = (_json_text(doc()) if args.format == "json"
                    else text()) + "\n"
     except ValueError:  # str() of an int past its digit limit
-        raise HftError("the output holds a number of more than %d digits"
-                       % sys.get_int_max_str_digits()) from None
+        raise HftError(_OUTPUT_DIGITS % sys.get_int_max_str_digits()) \
+            from None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

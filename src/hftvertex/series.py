@@ -16,8 +16,10 @@ All three series here are products of one summand series, truncated
 at the order.  One helper convolves weight sum series:
 ``assemble_vertex`` multiplies the leg series of the r frame summands,
 whose coefficients are the first leg shares of ``localize``: the share
-of a boxes is the one of a - 1 boxes times one box share, exchanged and
-specialized once per summand; ``closed_form_series`` raises a one line
+of a boxes is the one of a - 1 boxes times one box share, a closed
+product of linear forms built with no character, exchanged and
+specialized once per summand (``localize.contribution`` still reads
+its shares off the character); ``closed_form_series`` raises a one line
 binomial series to the rank power.  ``hft_partition`` raises a count
 series reindexed by the twist to the rank power in integers, each
 coefficient from the ones below it, up to the first that ``str()``
@@ -34,10 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .chars import HftError, VariableSet
+from .chars import HftError
 from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
-                       _check_mode, _exchanged, _product, _share,
+                       _check_mode, _exchanged, _one_box_share, _product,
                        _value_parts, _wf_text, specialize, weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
@@ -240,23 +242,25 @@ def assemble_vertex(rank: int, twist: int, order: int,
     a - 1 times the one box share at twist t + a - 1 (its errors name
     the a-box point of the last summand), exchanged to j and specialized
     once, for a ascending and j descending as the strata reach them.
-    No form cancels across steps (each numerator has an s2 coefficient
-    of -1, no denominator an s2 term), so a share holds its steps' forms
-    and fails to specialize on the factor the whole share would."""
+    The one box share is the closed product of ``_one_box_share``, with
+    no character; ``contribution`` keeps the character road until it
+    takes the closed product too.  No form cancels across steps (each
+    numerator has an s2 coefficient of -1, no denominator an s2 term),
+    so a share holds its steps' forms and fails to specialize on the
+    factor the whole share would."""
     _check_integers(rank=rank, twist=twist, order=order)
     if rank < 1:
         raise InvalidModel("rank must be at least one")
     if order < 0:
         raise InvalidModel("order must be nonnegative")
     _check_mode(mode)
-    vars = VariableSet(rank)
     legs = [{0: ws_unit(rank)} for _ in range(rank)]
     shares = [weight_function(rank, 1)] * rank
     zeros = (0,) * rank
     for a in range(1, order + 1):
-        step = _share(vars, 1, 0, twist + a - 1, mode,
-                      "contribution of %r at twist %d"
-                      % (BoxTuple(zeros[1:] + (a,), zeros), twist))
+        step = _one_box_share(rank, twist + a - 1, mode,
+                              "contribution of %r at twist %d"
+                              % (BoxTuple(zeros[1:] + (a,), zeros), twist))
         for j in reversed(range(rank)):
             box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
             shares[j] = _product(rank, (shares[j], specialize(
@@ -381,11 +385,18 @@ def compare_rows(rank: int, twist: int, order: int,
     form: each row carries the three coefficient values, equality flags
     of the character column against the other two, and the exact
     difference of the character column from ``reference_series``.
-    Nothing is asserted here; disagreements are data."""
+    Nothing is asserted here; disagreements are data.
+
+    The rows are printed whole, so a scalar of the four weight sum
+    columns that ``str()`` cannot print raises ``HftError`` before any
+    equality check (see ``_check_printable``)."""
     char = assemble_vertex(rank, twist, order, "character", spec)
     paper = assemble_vertex(rank, twist, order, "paper", spec)
     closed = closed_form_series(rank, twist, order, spec)
     ref = reference_series(rank, twist, order)
+    diffs = [_difference(rank, c, r) for c, r in zip(char.coefficients, ref)]
+    _check_printable((*char.coefficients, *paper.coefficients,
+                      *closed.coefficients, *diffs))
     return [{
         "k": k,
         "character": c,
@@ -393,9 +404,33 @@ def compare_rows(rank: int, twist: int, order: int,
         "closed_form": f,
         "character_equals_paper": eq_weight_sum(rank, c, p),
         "character_equals_closed_form": eq_weight_sum(rank, c, f),
-        "difference_from_reference": _difference(rank, c, r),
-    } for k, (c, p, f, r) in enumerate(zip(
-        char.coefficients, paper.coefficients, closed.coefficients, ref))]
+        "difference_from_reference": d,
+    } for k, (c, p, f, d) in enumerate(zip(
+        char.coefficients, paper.coefficients, closed.coefficients, diffs))]
+
+
+_OUTPUT_DIGITS = "the output holds a number of more than %d digits"
+
+
+def _check_printable(sums: Sequence[WeightSum]) -> None:
+    """Raise ``HftError`` (``_OUTPUT_DIGITS``) if a scalar of the sums
+    has a numerator or denominator that ``str()`` cannot print under
+    ``sys.get_int_max_str_digits()``.  As in ``hft_partition``, only a
+    number of at least 3 times the limit in bits is printed to find
+    out."""
+    limit = sys.get_int_max_str_digits()  # zero is no limit
+    if not limit:
+        return
+    for ws in sums:
+        for wf in ws:
+            s = wf.scalar
+            # b bits hold fewer than b/3 + 1 digits, which str() prints
+            if max(abs(s.numerator), s.denominator).bit_length() \
+                    >= 3 * limit:
+                try:
+                    str(s)
+                except ValueError:  # str() of an int past its digit limit
+                    raise HftError(_OUTPUT_DIGITS % limit) from None
 
 
 CountSeries = dict[int, Fraction]

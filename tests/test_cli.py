@@ -387,6 +387,19 @@ def test_output_number_past_the_digit_limit_exits_one(capsys, argv):
         "digits\n"
 
 
+def test_compare_past_the_digit_limit_exits_one_before_its_checks(capsys):
+    # the equality checks of the 400 rows, which are never printed, took
+    # about a second before the scalars were checked ahead of them
+    start = time.perf_counter()
+    code, out, err = run(capsys, (
+        "compare --rank 1 --order 399 --twist %s --specialize s1=%s*s2"
+        % (_TWENTY, _TWENTY)).split())
+    assert time.perf_counter() - start < 0.3
+    assert code == 1 and out == ""
+    assert err == "error: the output holds a number of more than 4300 " \
+        "digits\n"
+
+
 @pytest.mark.parametrize("term", ["9" * 5000, "1/%s*s1" % ("9" * 5000)],
                          ids=["constant", "coefficient"])
 def test_specialize_number_past_the_digit_limit_exits_two(capsys, term):

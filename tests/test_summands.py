@@ -19,10 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hftvertex import series
+from hftvertex import localize, series
 from hftvertex.chars import HftError, LaurentPoly, VariableSet
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
-from hftvertex.localize import (DivisionByZero, contribution,
+from hftvertex.localize import (DivisionByZero, _one_box_share, _share,
+                                contribution,
                                 parse_specialization, specialize,
                                 weight_function)
 from hftvertex.series import assemble_vertex, weight_sum
@@ -265,6 +266,40 @@ def test_assemble_vertex_matches_the_whole_share_road(case):
 
 def _coefficients(build, *args):
     return build(*args).coefficients
+
+
+_TWENTY_DIGITS = st.integers(10**19, 10**20 - 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 16),
+       st.one_of(st.integers(-4, 40), _TWENTY_DIGITS,
+                 _TWENTY_DIGITS.map(lambda t: -t)),
+       st.sampled_from(MODES))
+@example(1, -1, "character")  # the unit monomial
+@example(16, -1, "character")
+@example(3, -1, "paper")
+def test_one_box_share_is_the_share_of_the_one_box_character(rank, twist,
+                                                             mode):
+    """The closed product of linear forms is the share that the one box
+    character gives, in value or in error class and message."""
+    context = "contribution of a box at twist %d" % twist
+    assert (_outcome(_one_box_share, rank, twist, mode, context)
+            == _outcome(_share, VariableSet(rank), 1, 0, twist, mode,
+                        context))
+
+
+def test_the_series_road_builds_no_character(monkeypatch):
+    def refused(*args):
+        raise AssertionError("total_character called")
+
+    monkeypatch.setattr(localize, "total_character", refused)
+    spec = parse_specialization(2, "s3=-s1-s2")
+    for mode in MODES:
+        assemble_vertex(3, 1, 4, mode)
+        assemble_vertex(2, 0, 5, mode, spec)
+    series.compare_rows(2, 1, 4)
+    series.compare_rows(2, 0, 4, spec)
 
 
 def test_assemble_vertex_specializes_each_step_once(monkeypatch):
