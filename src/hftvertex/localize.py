@@ -39,13 +39,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chars import HftError, LaurentPoly, VariableSet, VariableSetMismatch
 from .fixedpoints import BoxTuple
 from .vertexchar import total_character
 
 WeightForm = tuple[int, ...]
+_Context = str | Callable[[], str] | None  # a text, or a function of none
 
 
 class ZeroWeight(HftError):
@@ -234,8 +235,14 @@ def _value_parts(items: Sequence[WeightFunction],
     return top, bottom
 
 
+def _where(context: _Context) -> str:
+    """The `` in <context>`` tail of an error message, made on error."""
+    text = context() if callable(context) else context
+    return " in %s" % text if text else ""
+
+
 def _primitive_forms(rank: int, forms: Sequence[Sequence], den: bool,
-                     where: str) -> tuple[int, int, list[WeightForm]]:
+                     context: _Context) -> tuple[int, int, list[WeightForm]]:
     """Sorted primitive representatives of the numerator (or, with
     ``den``, the denominator) forms, and, as an integer numerator and
     denominator, the factor their scales put on the scalar.  A form of
@@ -255,13 +262,14 @@ def _primitive_forms(rank: int, forms: Sequence[Sequence], den: bool,
             except AttributeError:  # a float, say
                 raise InexactWeight(
                     "form %r%s has an entry that is neither an integer "
-                    "nor a Fraction" % (tuple(f), where)) from None
+                    "nor a Fraction" % (tuple(f), _where(context))) from None
             ints = [x.numerator * (m // x.denominator) for x in f]
             c = gcd(*ints)
         if not c:
             if den:
-                raise DivisionByZero("zero weight in a denominator%s" % where)
-            raise ZeroWeight("zero weight in a numerator%s" % where)
+                raise DivisionByZero("zero weight in a denominator%s"
+                                     % _where(context))
+            raise ZeroWeight("zero weight in a numerator%s" % _where(context))
         if next(x for x in ints if x) < 0:
             c = -c
         prims.append(tuple(ints) if c == 1
@@ -275,16 +283,17 @@ def _primitive_forms(rank: int, forms: Sequence[Sequence], den: bool,
 def weight_function(rank: int, scalar: Fraction | int,
                     num: Sequence[Sequence] = (),
                     den: Sequence[Sequence] = (),
-                    context: str | None = None) -> WeightFunction:
+                    context: _Context = None) -> WeightFunction:
     """Canonical constructor.  Forms may have int or Fraction entries;
     each is rescaled to its primitive integer representative with the
     scale folded into the scalar in one exact division.  Identical
-    factors shared by numerator and denominator cancel as multisets."""
+    factors shared by numerator and denominator cancel as multisets.
+    An error names ``context``: a text, or a function of no arguments
+    that returns one, called only when an error is raised."""
     if not scalar:
         return WeightFunction(rank, Fraction(0), (), ())
-    where = " in %s" % context if context else ""
-    n_top, n_bottom, nn = _primitive_forms(rank, num, False, where)
-    d_top, d_bottom, dd = _primitive_forms(rank, den, True, where)
+    n_top, n_bottom, nn = _primitive_forms(rank, num, False, context)
+    d_top, d_bottom, dd = _primitive_forms(rank, den, True, context)
     s = Fraction(scalar.numerator * n_top * d_top,
                  scalar.denominator * n_bottom * d_bottom)
     return _cancelled(rank, s, nn, dd)
@@ -294,7 +303,9 @@ def _product(rank: int, factors: Sequence[WeightFunction]) -> WeightFunction:
     """Product of canonical weight functions of one rank.  Their forms
     are primitive already, so the scalars multiply, the sorted ``num``
     and ``den`` tuples merge, and only the forms now shared by the two
-    sides cancel."""
+    sides cancel.  One factor is its own product."""
+    if len(factors) == 1:
+        return factors[0]
     top = bottom = 1
     for wf in factors:
         top *= wf.scalar.numerator
@@ -375,7 +386,7 @@ def _paper_factors(rank: int, load: int, twist: int
 
 
 def _one_box_share(rank: int, twist: int, mode: str,
-                   context: str) -> WeightFunction:
+                   context: _Context) -> WeightFunction:
     """``_share`` of one box on the first leg, built from its linear
     forms with no character.  The character is ``up * W^ - down * W``:
     its positive terms t1^(-t-1) w_r/w_l carry no t2 and its negative
@@ -400,7 +411,7 @@ def _one_box_share(rank: int, twist: int, mode: str,
 
 
 def _share(vars: VariableSet, alpha: int, beta: int, twist: int,
-           mode: str, context: str) -> WeightFunction:
+           mode: str, context: _Context) -> WeightFunction:
     """Canonical share of the last frame summand with ``alpha`` and
     ``beta`` boxes on its two legs.  In character mode it is the Euler
     class of the negative of the character of the fixed point with no
@@ -476,7 +487,9 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
             "box tuple of rank %d over variables of rank %d"
             % (box.rank, vars.rank))
     _check_mode(mode)
-    context = "contribution of %r at twist %d" % (box, twist)
+
+    def context():
+        return "contribution of %r at twist %d" % (box, twist)
     return _product(vars.rank, [
         _exchanged(_share(vars, alpha, beta, twist, mode, context), j)
         for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta))
@@ -602,15 +615,15 @@ def _image(spec: Specialization, form: Sequence[int]) -> list[int]:
 
 
 def specialize(wf: WeightFunction, spec: Specialization | None,
-               context: str | None = None) -> WeightFunction:
+               context: _Context = None) -> WeightFunction:
     """Specialized weight function.
 
-    Factors that stay linear survive; factors that collapse to a
-    nonzero constant fold into the scalar; a factor collapsing to zero
-    raises ``ZeroWeight`` from a numerator and ``DivisionByZero`` from a
-    denominator, and a factor left with both a constant and a linear
-    part raises ``AffineWeight``.  Numerator factors are checked first.
-    Error messages carry the context and the offending factor.
+    Linear factors survive; factors that collapse to a nonzero constant
+    fold into the scalar; a factor collapsing to zero raises
+    ``ZeroWeight`` from a numerator and ``DivisionByZero`` from a
+    denominator, and one both constant and linear ``AffineWeight``,
+    numerator factors first.  Errors name the factor and the context,
+    a function of which is called only on error (``weight_function``).
 
     Each factor goes through the compiled map of ``spec`` by integer dot
     products, which give D times its image for the common denominator
@@ -624,9 +637,8 @@ def specialize(wf: WeightFunction, spec: Specialization | None,
         raise VariableSetMismatch(
             "specialization of rank %d on a weight function of rank %d"
             % (spec.rank, wf.rank))
-    where = " in %s" % context if context else ""
-    top, nums = _specialized_factors(spec, wf.num, False, where)
-    bottom, dens = _specialized_factors(spec, wf.den, True, where)
+    top, nums = _specialized_factors(spec, wf.num, False, context)
+    bottom, dens = _specialized_factors(spec, wf.den, True, context)
     shift = len(wf.den) - len(wf.num)
     if shift > 0:
         top *= spec.denominator ** shift
@@ -638,7 +650,8 @@ def specialize(wf: WeightFunction, spec: Specialization | None,
 
 
 def _specialized_factors(spec: Specialization, forms: Sequence[WeightForm],
-                      den: bool, where: str) -> tuple[int, list[list[int]]]:
+                         den: bool, context: _Context
+                         ) -> tuple[int, list[list[int]]]:
     """Specialize the numerator (or, with ``den``, the denominator)
     factors, each scaled by D: the linear ones are kept, and the
     product of the constant ones is returned."""
@@ -650,16 +663,16 @@ def _specialized_factors(spec: Specialization, forms: Sequence[WeightForm],
             if const:
                 raise AffineWeight(
                     "factor %s specializes to an affine expression%s"
-                    % (form_text(spec.rank, f), where))
+                    % (form_text(spec.rank, f), _where(context)))
             kept.append(vec)
         elif const:
             product *= const
         elif den:
             raise DivisionByZero(
                 "denominator factor %s specializes to zero%s"
-                % (form_text(spec.rank, f), where))
+                % (form_text(spec.rank, f), _where(context)))
         else:
             raise ZeroWeight(
                 "numerator factor %s specializes to zero%s"
-                % (form_text(spec.rank, f), where))
+                % (form_text(spec.rank, f), _where(context)))
     return product, kept

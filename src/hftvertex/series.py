@@ -13,14 +13,14 @@ then, only when every point agrees, integer expansion of their
 canonical difference, where shared terms cancel, over its lcd.
 
 All three series here are products of one summand series, truncated
-at the order.  One helper convolves weight sum series:
-``assemble_vertex`` multiplies the leg series of the r frame summands,
-whose coefficients are the first leg shares of ``localize``: the share
-of a boxes is the one of a - 1 boxes times one box share, a closed
-product of linear forms built with no character, exchanged and
-specialized once per summand (``localize.contribution`` still reads
-its shares off the character); ``closed_form_series`` raises a one line
-binomial series to the rank power.  ``hft_partition`` raises a count
+at the order.  ``assemble_vertex`` convolves the leg series of the r
+frame summands, whose coefficients are the first leg shares of
+``localize``: the share of a boxes is the one of a - 1 boxes times one
+box share, a closed product of linear forms built with no character,
+exchanged and specialized once per summand (``localize.contribution``
+still reads its shares off the character); ``closed_form_series``
+raises a one line binomial series, built in integers, to the rank power
+by one product per multiset of terms.  ``hft_partition`` raises a count
 series reindexed by the twist to the rank power in integers, each
 coefficient from the ones below it, up to the first that ``str()``
 cannot print.
@@ -31,10 +31,10 @@ from __future__ import annotations
 import operator
 import sys
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .chars import HftError
 from .fixedpoints import BoxTuple, InvalidModel, _rational
@@ -87,6 +87,15 @@ def _check_integers(**args) -> None:
         if type(value) is not int:
             raise InvalidModel("%s must be an integer, not %r"
                                % (name, value))
+
+
+def _check_series(rank: int, twist: int, order: int) -> None:
+    """Refuse a non-int argument, a rank below one or an order below 0."""
+    _check_integers(rank=rank, twist=twist, order=order)
+    if rank < 1:
+        raise InvalidModel("rank must be at least one")
+    if order < 0:
+        raise InvalidModel("order must be nonnegative")
 
 
 def _check_ranks(rank: int, items: Sequence[WeightFunction]) -> None:
@@ -248,24 +257,18 @@ def assemble_vertex(rank: int, twist: int, order: int,
     numerator has an s2 coefficient of -1, no denominator an s2 term),
     so a share holds its steps' forms and fails to specialize on the
     factor the whole share would."""
-    _check_integers(rank=rank, twist=twist, order=order)
-    if rank < 1:
-        raise InvalidModel("rank must be at least one")
-    if order < 0:
-        raise InvalidModel("order must be nonnegative")
+    _check_series(rank, twist, order)
     _check_mode(mode)
-    legs = [{0: ws_unit(rank)} for _ in range(rank)]
-    shares = [weight_function(rank, 1)] * rank
-    zeros = (0,) * rank
+    unit = ws_unit(rank)
+    legs = [{0: unit} for _ in range(rank)]
+    shares = [unit[0]] * rank
     for a in range(1, order + 1):
         step = _one_box_share(rank, twist + a - 1, mode,
-                              "contribution of %r at twist %d"
-                              % (BoxTuple(zeros[1:] + (a,), zeros), twist))
+                              _point_context(rank, rank - 1, a, twist))
         for j in reversed(range(rank)):
-            box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
             shares[j] = _product(rank, (shares[j], specialize(
                 _exchanged(step, j), spec,
-                "contribution of %r at twist %d" % (box, twist))))
+                _point_context(rank, j, a, twist))))
             legs[j][a] = (shares[j],)
     out = _ws_product(rank, legs, order)
     return VertexSeries(rank, twist, order, mode,
@@ -273,50 +276,58 @@ def assemble_vertex(rank: int, twist: int, order: int,
                         tuple(out.get(k, ()) for k in range(order + 1)))
 
 
-def _binomial_factor(exponent: WeightFunction, shift: int) -> WeightFunction:
-    """The weight function ``exponent - shift`` for an eligible
-    exponent."""
-    rank = exponent.rank
-    if not exponent.num and not exponent.den:
-        return weight_function(rank, exponent.scalar - shift)
-    n = exponent.num[0]
-    d = exponent.den[0]
-    # s*n - shift*d is never zero: n and d are distinct primitive forms
-    vec = [exponent.scalar * a - shift * b for a, b in zip(n, d)]
-    return weight_function(rank, 1, [vec], [d])
+def _point_context(rank: int, j: int, a: int, twist: int
+                   ) -> Callable[[], str]:
+    """The error context of the first leg point with a boxes on summand
+    j, as a function that is called only when an error is raised."""
+    def context() -> str:
+        zeros = (0,) * rank
+        return "contribution of %r at twist %d" % (
+            BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros), twist)
+    return context
 
 
 def binomial_series(exponent: WeightFunction, order: int
                     ) -> list[WeightFunction]:
     """Coefficients of (1 + q) raised to the exponent: the generalized
-    binomial coefficients of a weight function.
-
-    The exponent must be a bare scalar or a scalar times a single form
-    over a single form; anything else raises ``BinomialIneligible``.
+    binomial coefficients of a weight function, built canonical in
+    integers.  The exponent must be a bare scalar p/q, whose coefficient
+    k is (p - 0q)(p - 1q)...(p - (k-1)q)/(q^k k!), or p/q * n/d for
+    forms n, d; anything else raises ``BinomialIneligible``.  There each
+    factor e - i is g_i/q * f_i/d, with f_i the primitive form of
+    p n - i q d and g_i its signed content.  Nothing cancels: n and d
+    are distinct primitive forms, so independent, and no f_i is d.
     """
     _check_integers(order=order)
-    rank = exponent.rank
+    if order < 0:
+        raise InvalidModel("order must be nonnegative")
     shape = (len(exponent.num), len(exponent.den))
     if shape not in ((0, 0), (1, 1)):
         raise BinomialIneligible(
             "exponent %s is not scalar * form/form" % exponent.text())
-    out = [weight_function(rank, 1)]
-    prev = out[0]
-    for k in range(1, order + 1):
-        prev = (prev * _binomial_factor(exponent, k - 1)).scaled(
-            Fraction(1, k))
-        out.append(prev)
+    p, q = exponent.scalar.numerator, exponent.scalar.denominator
+    scalar, num = Fraction(1), []
+    out = [WeightFunction(exponent.rank, scalar, (), ())]
+    for i in range(order):
+        g = p - i * q  # the factor of a bare scalar
+        if exponent.num:
+            vec = [p * a - i * q * b
+                   for a, b in zip(exponent.num[0], exponent.den[0])]
+            g = gcd(*vec)
+            if next(x for x in vec if x) < 0:
+                g = -g
+            num.append(tuple([x // g for x in vec]))
+        scalar *= Fraction(g, q * (i + 1))  # stays reduced by small gcds
+        out.append(WeightFunction(exponent.rank, scalar, tuple(sorted(num)),
+                                  exponent.den * (i + 1)))
     return out
 
 
 def _ws_product(rank: int, factors: Sequence[Mapping[int, WeightSum]],
                 order: int) -> dict[int, WeightSum]:
-    """Product of sparse degree to weight sum series, dropping every
-    degree beyond the order; the empty product is ``{0: ws_unit(rank)}``.
-    The term products that land on a degree are summed by one
-    ``weight_sum`` call."""
-    if not factors:
-        return {0: ws_unit(rank)}
+    """Product of one or more sparse degree to weight sum series,
+    dropping every degree beyond the order.  The term products that land
+    on a degree are summed by one ``weight_sum`` call."""
     out = {k: c for k, c in factors[0].items() if k <= order}
     for factor in factors[1:]:
         terms: dict[int, list[WeightFunction]] = {}
@@ -331,15 +342,35 @@ def _ws_product(rank: int, factors: Sequence[Mapping[int, WeightSum]],
 
 def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
           order: int) -> list[WeightSum]:
-    """Truncated convolution power of a coefficient list."""
+    """Truncated convolution power of a coefficient list: over each
+    multiset of ``exponent`` terms within the order, their product times
+    e!/(c_1! c_2! ...), the count of its orderings for multiplicities
+    c_i.  That is the canonical sum of the products of all orderings,
+    which ``weight_sum`` would merge, with one product per multiset."""
     _check_integers(exponent=exponent, order=order)
     if exponent < 0:
         raise InvalidModel("negative convolution power")
     if order < 0:
         raise InvalidModel("order must be nonnegative")
-    base = {j: c for j, c in enumerate(coefficients[:order + 1]) if c}
-    out = _ws_product(rank, [base] * exponent, order)
-    return [out.get(k, ()) for k in range(order + 1)]
+    terms = [(j, wf) for j, c in enumerate(coefficients[:order + 1])
+             for wf in c]
+    found: dict[int, list[WeightFunction]] = {}
+    stack = [((), 0, 0)]  # nondecreasing picks, their degree, least next
+    while stack:
+        picks, degree, low = stack.pop()
+        left = exponent - len(picks)
+        if not left:
+            count = factorial(exponent)
+            for run in Counter(picks).values():
+                count //= factorial(run)
+            wf = _product(rank, [terms[i][1] for i in picks])
+            found.setdefault(degree, []).append(wf.scaled(count))
+            continue
+        for i in range(low, len(terms)):
+            if degree + left * terms[i][0] > order:  # so is every later i
+                break
+            stack.append(((*picks, i), degree + terms[i][0], i))
+    return [weight_sum(rank, found.get(k, ())) for k in range(order + 1)]
 
 
 def one_leg_exponent(rank: int) -> WeightFunction:
@@ -354,11 +385,7 @@ def closed_form_series(rank: int, twist: int, order: int,
                        spec: Specialization | None = None) -> VertexSeries:
     """Closed form prediction: the binomial series with exponent
     (twist + 1) * (s2 + s3)/s1, raised to the rank power."""
-    _check_integers(rank=rank, twist=twist, order=order)
-    if rank < 1:
-        raise InvalidModel("rank must be at least one")
-    if order < 0:
-        raise InvalidModel("order must be nonnegative")
+    _check_series(rank, twist, order)
     exponent = specialize(one_leg_exponent(rank).scaled(twist + 1), spec,
                           "closed form exponent")
     line = binomial_series(exponent, order)
@@ -373,7 +400,7 @@ def reference_series(rank: int, twist: int, order: int
     """Scalar reference row: the binomial coefficients of
     (1 + q) ** (-(twist + 1) * rank), the value the closed form takes on
     the Calabi Yau slice."""
-    _check_integers(rank=rank, twist=twist, order=order)
+    _check_series(rank, twist, order)
     exponent = weight_function(rank, -(twist + 1) * rank)
     return [weight_sum(rank, [w])
             for w in binomial_series(exponent, order)]

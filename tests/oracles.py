@@ -64,7 +64,10 @@ keeps one form cache per output; ``eq_rational``, equality of values of
 rational characters; ``poly_substituted`` and
 ``char_substituted``, signed monomial substitutions, which the raw road
 uses to change charts; ``binomiality_test``, which recognizes a binomial
-coefficient list; ``box_model``, the Hilbert polynomial model of a
+coefficient list; ``binomial_series_by_products``, the first road to the
+binomial coefficients, one canonical product of weight functions per
+order, where the package writes each coefficient's integers directly;
+``box_model``, the Hilbert polynomial model of a
 fixed point; and ``brute_partition``, the multinomial expansion of a
 twisted rank r count series.  The package raises that series to the
 rank power by a recurrence in integers; its first road, rank - 1
@@ -907,6 +910,32 @@ def char_substituted(char: RationalCharacter,
     if scalar != 1:
         num = num.scaled(scalar)
     return RationalCharacter(char.vars, num, den)
+
+
+def binomial_series_by_products(exponent: WeightFunction, order: int
+                                ) -> list[WeightFunction]:
+    """The binomial coefficients of (1 + q) ** exponent, each the one
+    before times the canonical weight function ``exponent - (k - 1)``
+    over k, for a bare scalar or a scalar times a form over a form."""
+    if order < 0:
+        raise InvalidModel("order must be nonnegative")
+    rank = exponent.rank
+    shape = (len(exponent.num), len(exponent.den))
+    if shape not in ((0, 0), (1, 1)):
+        raise BinomialIneligible(
+            "exponent %s is not scalar * form/form" % exponent.text())
+    out = [weight_function(rank, 1)]
+    for k in range(1, order + 1):
+        shift = k - 1
+        if shape == (0, 0):
+            factor = weight_function(rank, exponent.scalar - shift)
+        else:
+            n, d = exponent.num[0], exponent.den[0]
+            factor = weight_function(
+                rank, 1, [[exponent.scalar * a - shift * b
+                           for a, b in zip(n, d)]], [d])
+        out.append((out[-1] * factor).scaled(Fraction(1, k)))
+    return out
 
 
 def binomiality_test(rank: int, coefficients):

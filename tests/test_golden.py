@@ -59,6 +59,20 @@ GOLDEN = {
         "c5596eb9612830fa0da9764930bad2be81cd65d5379a5c4014d4c62e7cd8cd8a",
     "vertex --rank 4 --order 5 --mode paper":
         "6994452e80d2d821945ecf25c27321d80d882ec5a2f81968d650c61790a10504",
+    "vertex --rank 16 --order 2 --mode closed_form":
+        "98d7ac0aa484522229f7269c779f23dc9218a52deff2e3641afd68759f12bb46",
+    "vertex --rank 4 --order 6 --mode closed_form --twist 3":
+        "421cd77f55fd632dd86a89f7d3028d4108ea6beed1bbbb8fd9c7a96ef6b7a9cd",
+    "vertex --rank 4 --order 6 --mode closed_form --twist 3 --format json":
+        "09180267fc022bb36588c227282ff18f927512d5711d3b2bc9b61098d8b4edf8",
+    # s1 = s2 + s3 makes the closed form exponent a bare scalar
+    "vertex --rank 2 --order 4 --mode closed_form --specialize s1=s2+s3":
+        "8fdb23046c4ceafc301daa1b538064ea12727a835344750ea26c42f5da53c7fc",
+    "vertex --rank 1 --order 40 --mode closed_form "
+    "--twist 99999999999999999999":
+        "1b4fbba0c432f9cfb04414bd0765318c943112235c77d011e10b878326d2f1a6",
+    "compare --rank 3 --order 3 --specialize s1=2*s2":
+        "84d1585dfca919c594a5a619220b22fdde35f922f5eb9d57240de4a5576ab161",
     "compare --rank 1 --order 10":
         "86618d1859a4d0a7e745ccfc05d5b379c0c0f7d11762d47fa7165af9030d8ca7",
     "compare --rank 2 --order 2":

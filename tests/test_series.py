@@ -14,15 +14,18 @@ from hftvertex.chars import HftError, VariableSet
 from hftvertex.fixedpoints import BoxTuple, InvalidModel
 from hftvertex.localize import (DivisionByZero, ModeUnavailable,
                                 _exchanged, contribution,
-                                parse_specialization, weight_function)
+                                parse_specialization, specialize,
+                                weight_function)
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
                               assemble_vertex, binomial_series,
                               closed_form_series, compare_rows,
                               eq_weight_sum, hft_partition, one_leg_exponent,
                               power, reference_series, weight_sum, ws_unit)
-from oracles import (binomiality_test, brute_partition,
-                     exchanged_canonicalized, leg_strata, partition_convolved,
-                     weight_sum_grouped, ws_mul, ws_text, ws_to_json)
+from oracles import (binomial_series_by_products, binomiality_test,
+                     brute_partition, exchanged_canonicalized, leg_strata,
+                     partition_convolved, weight_sum_grouped, ws_mul,
+                     ws_text, ws_to_json)
+from test_localize import _affine_assignments, _value_or_error
 
 
 def wf1(scalar, num=(), den=()):
@@ -187,10 +190,13 @@ def test_assemble_vertex_basics():
     series = assemble_vertex(1, 0, 2)
     assert series.coefficients[0] == ws_unit(1)
     assert series.coefficients[1] == (one_leg_exponent(1),)
-    with pytest.raises(InvalidModel):
-        assemble_vertex(1, 0, -1)
-    with pytest.raises(InvalidModel, match="^order must be nonnegative$"):
-        closed_form_series(1, 0, -1)
+    for build in (lambda: assemble_vertex(1, 0, -1),
+                  lambda: closed_form_series(1, 0, -1),
+                  lambda: reference_series(1, 0, -1),
+                  lambda: binomial_series(one_leg_exponent(1), -1),
+                  lambda: binomial_series(weight_function(1, 3), -1)):
+        with pytest.raises(InvalidModel, match="^order must be nonnegative$"):
+            build()
 
 
 def test_assemble_vertex_specialization_context():
@@ -201,11 +207,12 @@ def test_assemble_vertex_specialization_context():
     assert "at twist 0" in str(err.value)
 
 
-@pytest.mark.parametrize("rank", [0, -1])
+@pytest.mark.parametrize("rank", [0, -1, -2])
 def test_series_refuse_a_rank_below_one(rank):
     for build in (lambda: assemble_vertex(rank, 0, 0),
                   lambda: assemble_vertex(rank, 0, 3),
                   lambda: closed_form_series(rank, 0, 3),
+                  lambda: reference_series(rank, 0, 2),
                   lambda: compare_rows(rank, 0, 2)):
         with pytest.raises(InvalidModel, match="^rank must be at least one$"):
             build()
@@ -246,6 +253,68 @@ def test_binomial_series_ineligible_shapes():
                       [(0, 0, 1, 0), (1, 1, 0, 0)])):
         with pytest.raises(BinomialIneligible):
             binomial_series(wf1(1, num, den), 2)
+
+
+_SCALARS = st.one_of(
+    st.just(0), st.integers(-6, 6),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.integers(10**19, 10**20 - 1).map(lambda x: x * (-1) ** x),
+    st.builds(Fraction, st.integers(-10**20, 10**20),
+              st.integers(10**19, 10**20)))
+
+
+@st.composite
+def _binomial_exponents(draw):
+    """A rank from 1 to 16 and an exponent: a bare scalar, a scalar
+    times a form over a form, the closed form exponent of a twist under
+    a drawn affine specialization, or a shape the series refuses."""
+    rank = draw(st.integers(1, 16))
+    size = 3 + rank
+    forms = st.lists(st.integers(-3, 3), min_size=size,
+                     max_size=size).filter(any)
+    kind = draw(st.sampled_from(("scalar", "form", "closed", "other")))
+    scalar = draw(_SCALARS)
+    if kind == "scalar":
+        return weight_function(rank, scalar)
+    if kind == "form":
+        return weight_function(rank, scalar or 1, [draw(forms)],
+                               [draw(forms)])
+    if kind == "other":
+        return weight_function(rank, scalar or 1,
+                               draw(st.lists(forms, max_size=2)),
+                               draw(st.lists(forms, max_size=2)))
+    twist = draw(st.one_of(st.integers(-3, 5),
+                           st.integers(-10**20, 10**20)))
+    spec = parse_specialization(rank, draw(_affine_assignments(
+        min(rank, 2))))
+    try:
+        return specialize(one_leg_exponent(rank).scaled(twist + 1), spec)
+    except HftError:  # the specialization kills or breaks a form
+        return one_leg_exponent(rank).scaled(twist + 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_binomial_exponents(), st.integers(0, 30))
+@example(weight_function(1, 0), 4)
+@example(weight_function(2, 3), 6)  # zero from the fourth coefficient on
+@example(weight_function(1, Fraction(-7, 3)), 5)
+@example(weight_function(16, -(10**20 - 1) * 16), 30)
+@example(one_leg_exponent(3).scaled(-2), 8)  # a negative scalar
+@example(one_leg_exponent(1).scaled(10**20), 30)
+@example(weight_function(1, 3, [(0, 1, 0, 0)], [(0, 0, 2, 0)]), 7)
+@example(weight_function(1, 1, [(1, 0, 0, 0)], []), 2)
+@example(weight_function(1, 1, [(1, 0, 0, 0)] * 2, [(0, 1, 0, 0)]), 2)
+def test_binomial_series_matches_the_product_road(exponent, order):
+    """The integer coefficients of ``binomial_series`` are the canonical
+    products of ``binomial_series_by_products``, instance for instance,
+    and an ineligible exponent is refused with the same message."""
+    got = _value_or_error(lambda: binomial_series(exponent, order))
+    want = _value_or_error(
+        lambda: binomial_series_by_products(exponent, order))
+    assert got == want
+    if isinstance(want, list):
+        assert len(got) == order + 1
+        assert all(type(wf.scalar) is Fraction for wf in got)
 
 
 def test_binomiality_test():
@@ -333,21 +402,48 @@ def random_form(rng, rank):
             return form
 
 
-def test_power_matches_multinomial_expansion():
+_A = wf1(2, [(1, 0, 0, 0)], [(0, 1, 0, 0)])
+
+
+def _cancelling(exponent):
+    """1 + a q + b q^2 with b = -(e - 1)/2 a^2, whose e-th power has
+    e b + C(e, 2) a^2 = 0 at q^2."""
+    b = weight_sum(1, [wf.scaled(Fraction(1 - exponent, 2))
+                       for wf in ws_mul(1, (_A,), (_A,))])
+    return [ws_unit(1), (_A,), b]
+
+
+def _power_cases():
+    """Drawn coefficient lists, terms repeated across degrees, then
+    lists whose power cancels to zero at a degree and empty lists."""
     rng = random.Random(555)
-    for _ in range(30):
-        rank = rng.randint(1, 2)
+    for _ in range(100):
+        rank = rng.randint(1, 4)
         pool = [weight_function(
             rank, Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)),
             [random_form(rng, rank) for _ in range(rng.randint(0, 1))],
             [random_form(rng, rank) for _ in range(rng.randint(0, 1))])
             for _ in range(3)]
+        exponent = rng.randint(0, 6)
+        # the brute force walks (number of coefficients) ** exponent tuples
+        size = rng.randint(0, 4 if exponent < 5 else 3)
         coefficients = [weight_sum(rank, rng.sample(pool, rng.randint(0, 2)))
-                        for _ in range(rng.randint(1, 4))]
-        exponent = rng.randint(0, 3)
-        order = rng.randint(0, 5)
+                        for _ in range(size)]
+        yield rank, coefficients, exponent, rng.randint(0, 6)
+    for exponent in range(7):
+        # every degree carries the same term
+        yield 1, [(_A,)] * 4, exponent, 6
+        yield 1, _cancelling(exponent), exponent, 4
+        yield 3, [], exponent, 3
+        yield 2, [(), ()], exponent, 2
+
+
+def test_power_matches_multinomial_expansion():
+    for rank, coefficients, exponent, order in _power_cases():
         assert power(rank, coefficients, exponent, order) == brute_power(
-            rank, coefficients, exponent, order)
+            rank, coefficients, exponent, order), (coefficients, exponent)
+    for exponent in range(2, 7):
+        assert power(1, _cancelling(exponent), exponent, 4)[2] == ()
 
 
 def test_closed_form_series_on_cy_slice():

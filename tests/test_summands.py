@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hftvertex import localize, series
+from hftvertex import fixedpoints, localize, series
 from hftvertex.chars import HftError, LaurentPoly, VariableSet
 from hftvertex.fixedpoints import BoxTuple, enumerate_fixed
 from hftvertex.localize import (DivisionByZero, _one_box_share, _share,
@@ -298,6 +298,22 @@ def test_the_series_road_builds_no_character(monkeypatch):
     for mode in MODES:
         assemble_vertex(3, 1, 4, mode)
         assemble_vertex(2, 0, 5, mode, spec)
+    series.compare_rows(2, 1, 4)
+    series.compare_rows(2, 0, 4, spec)
+
+
+def test_a_successful_run_formats_no_context(monkeypatch):
+    """Error contexts are functions, called only when an error is
+    raised: a run that succeeds never renders a fixed point."""
+    def refused(self):
+        raise AssertionError("BoxTuple rendered")
+
+    monkeypatch.setattr(fixedpoints.BoxTuple, "__repr__", refused)
+    spec = parse_specialization(2, "s3=-s1-s2")
+    for mode in MODES:
+        assemble_vertex(3, 1, 4, mode)
+        assemble_vertex(2, 0, 5, mode, spec)
+        contribution(VARS[2], BoxTuple((2, 1), (0, 3)), 1, mode)
     series.compare_rows(2, 1, 4)
     series.compare_rows(2, 0, 4, spec)
 
