@@ -4,6 +4,8 @@ Four subcommands cover the pipeline: ``vertex`` assembles a vertex
 series, ``compare`` tabulates the contribution modes against the closed
 form, ``partition`` builds twisted rank r count series from a count
 file, and ``stability`` evaluates the stability checks on a model file.
+The series functions return their coefficients; this module renders
+every output, text and JSON alike.
 
 Exit codes: 0 on success, 1 when a computation fails on valid syntax
 (for example a specialization that kills a denominator), 2 on usage,
@@ -24,9 +26,9 @@ from math import comb
 from .chars import HftError
 from .fixedpoints import (FrozenTripleModel, InvalidModel, hilbert_poly,
                           limit_stable_equiv, tau_stability_check)
-from .localize import (Specialization, SpecializationSyntax,
-                       parse_specialization)
-from .series import (InvalidCounts, _OUTPUT_DIGITS, _ws_json, _ws_text,
+from .localize import (Specialization, SpecializationSyntax, WeightForm,
+                       WeightFunction, _wf_text, parse_specialization)
+from .series import (InvalidCounts, WeightSum, _OUTPUT_DIGITS,
                      assemble_vertex, closed_form_series, compare_rows,
                      hft_partition)
 
@@ -165,6 +167,38 @@ def _parse_q(text: str) -> tuple[Fraction, ...]:
         raise UsageError("bad q polynomial %r" % text) from None
 
 
+def _ws_text(a: WeightSum, forms: dict[WeightForm, str]) -> str:
+    """Render ``a`` with the form texts of ``forms``, which the caller
+    keeps for one output (see ``_wf_text``)."""
+    if not a:
+        return "0"
+    out = _wf_text(a[0], forms)
+    for wf in a[1:]:
+        t = _wf_text(wf, forms)
+        if t.startswith("-"):
+            out += " - " + t[1:]
+        else:
+            out += " + " + t
+    return out
+
+
+def _wf_json(wf: WeightFunction) -> dict:
+    """The JSON form of ``wf``: its forms stay tuples, which
+    ``_json_text`` joins once per value and depth."""
+    return {"scalar": str(wf.scalar), "num": list(wf.num),
+            "den": list(wf.den)}
+
+
+def _ws_json(a: WeightSum):
+    """The JSON form of ``a``: one weight function, a list of them, or
+    the zero function when ``a`` is empty."""
+    if not a:
+        return {"scalar": "0", "num": [], "den": []}
+    if len(a) == 1:
+        return _wf_json(a[0])
+    return [_wf_json(wf) for wf in a]
+
+
 def _json_text(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for
     a document of str-keyed dicts, lists, tuples, strings, ints, booleans
@@ -288,12 +322,25 @@ def _series_spec(args) -> Specialization:
 
 def _run_vertex(args) -> int:
     spec = _series_spec(args)
-    if args.mode == "closed_form":
-        series = closed_form_series(args.rank, args.twist, args.order, spec)
-    else:
-        series = assemble_vertex(args.rank, args.twist, args.order,
-                                 args.mode, spec)
-    return _emit(args, series.to_json, series.text)
+    coefficients = (
+        closed_form_series(args.rank, args.twist, args.order, spec)
+        if args.mode == "closed_form" else assemble_vertex(
+            args.rank, args.twist, args.order, args.mode, spec))
+
+    def doc() -> dict:
+        return {"rank": args.rank, "twist": args.twist, "order": args.order,
+                "mode": args.mode, "specialization": spec.source,
+                "coefficients": [{"k": k, "value": _ws_json(c)}
+                                 for k, c in enumerate(coefficients)]}
+
+    def text() -> str:
+        forms: dict = {}
+        header = "rank %d, twist %d, mode %s%s" % (
+            args.rank, args.twist, args.mode,
+            ", specialized: %s" % spec.source if spec.source else "")
+        return "\n".join([header, *("c[%d] = %s" % (k, _ws_text(c, forms))
+                                    for k, c in enumerate(coefficients))])
+    return _emit(args, doc, text)
 
 
 _WS_COLUMNS = ("character", "paper", "closed_form",

@@ -24,6 +24,9 @@ by one product per multiset of terms.  ``hft_partition`` raises a count
 series reindexed by the twist to the rank power in integers, each
 coefficient from the ones below it, up to the first that ``str()``
 cannot print.
+
+The series functions return their coefficients and render nothing: the
+CLI writes every output, text and JSON alike.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import operator
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -40,7 +42,7 @@ from .chars import HftError
 from .fixedpoints import BoxTuple, InvalidModel, _rational
 from .localize import (Specialization, WeightForm, WeightFunction,
                        _check_mode, _exchanged, _one_box_share, _product,
-                       _value_parts, _wf_text, specialize, weight_function)
+                       _value_parts, specialize, weight_function)
 
 WeightSum = tuple[WeightFunction, ...]
 
@@ -115,38 +117,6 @@ def ws_unit(rank: int) -> WeightSum:
     return (weight_function(rank, 1),)
 
 
-def _ws_text(a: WeightSum, forms: dict[WeightForm, str]) -> str:
-    """Render ``a`` with the form texts of ``forms``, which the caller
-    keeps for one output (see ``_wf_text``)."""
-    if not a:
-        return "0"
-    out = _wf_text(a[0], forms)
-    for wf in a[1:]:
-        t = _wf_text(wf, forms)
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
-
-
-def _wf_json(wf: WeightFunction) -> dict:
-    """The JSON form of ``wf``: its forms stay tuples, which the CLI's
-    JSON writer ``cli._json_text`` joins once per value and depth."""
-    return {"scalar": str(wf.scalar), "num": list(wf.num),
-            "den": list(wf.den)}
-
-
-def _ws_json(a: WeightSum):
-    """The JSON form of ``a``: one weight function, a list of them, or
-    the zero function when ``a`` is empty."""
-    if not a:
-        return {"scalar": "0", "num": [], "den": []}
-    if len(a) == 1:
-        return _wf_json(a[0])
-    return [_wf_json(wf) for wf in a]
-
-
 # One evaluation point per base: its entries are the powers base ** 1,
 # base ** 2, ...  A nonzero linear form whose coefficients are smaller
 # than the base in magnitude cannot vanish there, and a nonzero
@@ -203,46 +173,13 @@ def _expanded(nvars: int, coeff: int, forms: Sequence[WeightForm]
     return out
 
 
-@dataclass(frozen=True)
-class VertexSeries:
-    """Coefficients of a vertex series up to a given order, together
-    with the configuration that produced them."""
-
-    rank: int
-    twist: int
-    order: int
-    mode: str
-    specialization: str
-    coefficients: tuple[WeightSum, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "twist": self.twist,
-            "order": self.order,
-            "mode": self.mode,
-            "specialization": self.specialization,
-            "coefficients": [
-                {"k": k, "value": _ws_json(c)}
-                for k, c in enumerate(self.coefficients)],
-        }
-
-    def text(self) -> str:
-        lines = ["rank %d, twist %d, mode %s%s" % (
-            self.rank, self.twist, self.mode,
-            ", specialized: %s" % self.specialization
-            if self.specialization else "")]
-        forms: dict[WeightForm, str] = {}
-        for k, c in enumerate(self.coefficients):
-            lines.append("c[%d] = %s" % (k, _ws_text(c, forms)))
-        return "\n".join(lines)
-
-
 def assemble_vertex(rank: int, twist: int, order: int,
                     mode: str = "character",
-                    spec: Specialization | None = None) -> VertexSeries:
-    """Vertex series: coefficient k sums the contributions of the first
-    leg strata with k boxes.  The order zero coefficient is one.
+                    spec: Specialization | None = None
+                    ) -> tuple[WeightSum, ...]:
+    """Vertex series coefficients 0 to the order: coefficient k sums the
+    contributions of the first leg strata with k boxes, and the order
+    zero coefficient is one.
 
     The series is the convolution product of the r leg series of the
     frame summands.  A first leg character of a boxes at twist t is the
@@ -271,9 +208,7 @@ def assemble_vertex(rank: int, twist: int, order: int,
                 _point_context(rank, j, a, twist))))
             legs[j][a] = (shares[j],)
     out = _ws_product(rank, legs, order)
-    return VertexSeries(rank, twist, order, mode,
-                        spec.source if spec is not None else "",
-                        tuple(out.get(k, ()) for k in range(order + 1)))
+    return tuple(out.get(k, ()) for k in range(order + 1))
 
 
 def _point_context(rank: int, j: int, a: int, twist: int
@@ -346,12 +281,17 @@ def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
     multiset of ``exponent`` terms within the order, their product times
     e!/(c_1! c_2! ...), the count of its orderings for multiplicities
     c_i.  That is the canonical sum of the products of all orderings,
-    which ``weight_sum`` would merge, with one product per multiset."""
+    which ``weight_sum`` would merge, with one product per multiset.
+    The first power of canonical sums is the list itself, cut or padded
+    with zeros to the order."""
     _check_integers(exponent=exponent, order=order)
     if exponent < 0:
         raise InvalidModel("negative convolution power")
     if order < 0:
         raise InvalidModel("order must be nonnegative")
+    if exponent == 1:
+        rows = list(coefficients[:order + 1])
+        return rows + [()] * (order + 1 - len(rows))
     terms = [(j, wf) for j, c in enumerate(coefficients[:order + 1])
              for wf in c]
     found: dict[int, list[WeightFunction]] = {}
@@ -382,17 +322,16 @@ def one_leg_exponent(rank: int) -> WeightFunction:
 
 
 def closed_form_series(rank: int, twist: int, order: int,
-                       spec: Specialization | None = None) -> VertexSeries:
-    """Closed form prediction: the binomial series with exponent
-    (twist + 1) * (s2 + s3)/s1, raised to the rank power."""
+                       spec: Specialization | None = None
+                       ) -> tuple[WeightSum, ...]:
+    """Closed form prediction, coefficients 0 to the order: the binomial
+    series with exponent (twist + 1) * (s2 + s3)/s1 to the rank power."""
     _check_series(rank, twist, order)
     exponent = specialize(one_leg_exponent(rank).scaled(twist + 1), spec,
                           "closed form exponent")
     line = binomial_series(exponent, order)
-    coeffs = power(rank, [weight_sum(rank, [w]) for w in line], rank, order)
-    return VertexSeries(rank, twist, order, "closed_form",
-                        spec.source if spec is not None else "",
-                        tuple(coeffs))
+    return tuple(power(rank, [weight_sum(rank, [w]) for w in line], rank,
+                       order))
 
 
 def reference_series(rank: int, twist: int, order: int
@@ -421,9 +360,8 @@ def compare_rows(rank: int, twist: int, order: int,
     paper = assemble_vertex(rank, twist, order, "paper", spec)
     closed = closed_form_series(rank, twist, order, spec)
     ref = reference_series(rank, twist, order)
-    diffs = [_difference(rank, c, r) for c, r in zip(char.coefficients, ref)]
-    _check_printable((*char.coefficients, *paper.coefficients,
-                      *closed.coefficients, *diffs))
+    diffs = [_difference(rank, c, r) for c, r in zip(char, ref)]
+    _check_printable((*char, *paper, *closed, *diffs))
     return [{
         "k": k,
         "character": c,
@@ -432,32 +370,35 @@ def compare_rows(rank: int, twist: int, order: int,
         "character_equals_paper": eq_weight_sum(rank, c, p),
         "character_equals_closed_form": eq_weight_sum(rank, c, f),
         "difference_from_reference": d,
-    } for k, (c, p, f, d) in enumerate(zip(
-        char.coefficients, paper.coefficients, closed.coefficients, diffs))]
+    } for k, (c, p, f, d) in enumerate(zip(char, paper, closed, diffs))]
 
 
 _OUTPUT_DIGITS = "the output holds a number of more than %d digits"
 
 
+def _printable(x: Fraction) -> bool:
+    """Whether ``str()`` prints ``x`` under the digit limit of
+    ``sys.get_int_max_str_digits()``.  Only a number of at least 3 times
+    the limit in bits is printed to find out: b bits hold fewer than
+    b/3 + 1 digits."""
+    limit = sys.get_int_max_str_digits()  # zero is no limit
+    big = max(abs(x.numerator), x.denominator)
+    if limit and big.bit_length() >= 3 * limit:
+        try:
+            str(x)
+        except ValueError:  # str() of an int past its digit limit
+            return False
+    return True
+
+
 def _check_printable(sums: Sequence[WeightSum]) -> None:
     """Raise ``HftError`` (``_OUTPUT_DIGITS``) if a scalar of the sums
-    has a numerator or denominator that ``str()`` cannot print under
-    ``sys.get_int_max_str_digits()``.  As in ``hft_partition``, only a
-    number of at least 3 times the limit in bits is printed to find
-    out."""
-    limit = sys.get_int_max_str_digits()  # zero is no limit
-    if not limit:
-        return
+    is not ``_printable``."""
     for ws in sums:
         for wf in ws:
-            s = wf.scalar
-            # b bits hold fewer than b/3 + 1 digits, which str() prints
-            if max(abs(s.numerator), s.denominator).bit_length() \
-                    >= 3 * limit:
-                try:
-                    str(s)
-                except ValueError:  # str() of an int past its digit limit
-                    raise HftError(_OUTPUT_DIGITS % limit) from None
+            if not _printable(wf.scalar):
+                raise HftError(
+                    _OUTPUT_DIGITS % sys.get_int_max_str_digits())
 
 
 CountSeries = dict[int, Fraction]
@@ -543,13 +484,9 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     ``HftError`` naming its degree, before any higher one is made.
     Twist zero collapses the series to a constant; empty input, to zero.
     """
-    _check_integers(twist=twist, rank=rank, order=order)
-    if rank < 1:
-        raise InvalidModel("rank must be at least one")
+    _check_series(rank, twist, order)
     if twist < 0:
         raise InvalidModel("twist must be nonnegative")
-    if order < 0:
-        raise InvalidModel("order must be nonnegative")
     entries = [(twist * m, c) for m, c in _count_entries(counts)
                if twist * m <= order]
     scale, bits = 1, 0
@@ -570,15 +507,10 @@ def hft_partition(counts: Mapping, twist: int, rank: int,
     terms = (_int_power(base, rank, order) if rank > 1
              else sorted(base.items()))
     denominator = scale**rank
-    limit = sys.get_int_max_str_digits()  # zero is no limit
     out: CountSeries = {}
     for m, c in terms:
         out[m] = Fraction(c, denominator)
-        # b bits hold fewer than b/3 + 1 digits, which str() prints
-        if limit and max(abs(c), denominator).bit_length() >= 3 * limit:
-            try:
-                str(out[m])
-            except ValueError:  # str() of an int past its digit limit
-                raise HftError("coefficient of q^%d has more than %d digits"
-                               % (m, limit)) from None
+        if not _printable(out[m]):
+            raise HftError("coefficient of q^%d has more than %d digits"
+                           % (m, sys.get_int_max_str_digits()))
     return out

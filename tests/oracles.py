@@ -40,7 +40,9 @@ where the package multiplies the leg series of the frame summands, and
 whole share road ``assemble_vertex_whole``, which builds the share of a
 boxes from the contribution of the a box fixed point at every order,
 where the package multiplies the share of a - 1 boxes by a one box
-share.  The first roads of
+share; it multiplies its leg series with ``series_mul``, a dense
+truncated product folded from ``ws_mul``, where the package convolves
+sparse series with one ``weight_sum`` per degree.  The first roads of
 two steps of that product stay too: ``exchanged_canonicalized``
 exchanges v_j and v_r in every form and canonicalizes the result again,
 where the package permutes the canonical forms and fixes their signs;
@@ -90,6 +92,7 @@ from hftvertex.chars import (CharError, LaurentPoly, Monomial,
                              RationalCharacter, VariableSet,
                              VariableSetMismatch, ZeroDenominator,
                              one_minus)
+from hftvertex.cli import _ws_json, _ws_text
 from hftvertex.fixedpoints import (BoxTuple, FrozenTripleModel,
                                    InvalidModel, compositions, hilbert_poly)
 from hftvertex.localize import (AffineWeight, DivisionByZero, Specialization,
@@ -97,9 +100,7 @@ from hftvertex.localize import (AffineWeight, DivisionByZero, Specialization,
                                 _exchanged, _parse_affine, _var_index,
                                 contribution, form_text, param_names,
                                 specialize, weight_function, weights_of)
-from hftvertex.series import (BinomialIneligible, VertexSeries, WeightSum,
-                              _ws_json, _ws_product, _ws_text,
-                              binomial_series,
+from hftvertex.series import (BinomialIneligible, WeightSum, binomial_series,
                               eq_weight_sum, weight_sum, ws_unit)
 from hftvertex.vertexchar import frame_sum, total_character
 
@@ -599,7 +600,7 @@ def leg_strata(rank: int, total: int) -> list[BoxTuple]:
 def assemble_vertex_enumerated(rank: int, twist: int, order: int,
                                mode: str = "character",
                                spec: Specialization | None = None
-                               ) -> VertexSeries:
+                               ) -> tuple[WeightSum, ...]:
     """The vertex series stratum by stratum: coefficient k sums the
     contribution of every first leg stratum with k boxes, each
     specialized on its own, so an error names the stratum that fails
@@ -618,21 +619,21 @@ def assemble_vertex_enumerated(rank: int, twist: int, order: int,
                     % (box, twist))
             items.append(wf)
         coeffs.append(weight_sum(rank, items))
-    return VertexSeries(rank, twist, order, mode,
-                        spec.source if spec is not None else "",
-                        tuple(coeffs))
+    return tuple(coeffs)
 
 
 def assemble_vertex_whole(rank: int, twist: int, order: int,
                           mode: str = "character",
                           spec: Specialization | None = None
-                          ) -> VertexSeries:
+                          ) -> tuple[WeightSum, ...]:
     """The vertex series from whole shares: at each order a, the share
     of the last summand is the contribution of the fixed point with a
     boxes there, built from its whole character (or all its printed
-    factors), exchanged and specialized as the package does."""
+    factors), exchanged and specialized as the package does.  The leg
+    series are multiplied by ``series_mul``, not by the package's
+    product."""
     vars = VariableSet(rank)
-    legs = [{0: ws_unit(rank)} for _ in range(rank)]
+    legs = [[ws_unit(rank)] for _ in range(rank)]
     zeros = (0,) * rank
     for a in range(1, order + 1):
         last = contribution(vars, BoxTuple(zeros[1:] + (a,), zeros),
@@ -643,11 +644,21 @@ def assemble_vertex_whole(rank: int, twist: int, order: int,
                 box = BoxTuple(zeros[:j] + (a,) + zeros[j + 1:], zeros)
                 wf = specialize(wf, spec, "contribution of %r at twist %d"
                                 % (box, twist))
-            legs[j][a] = weight_sum(rank, [wf])
-    out = _ws_product(rank, legs, order)
-    return VertexSeries(rank, twist, order, mode,
-                        spec.source if spec is not None else "",
-                        tuple(out.get(k, ()) for k in range(order + 1)))
+            legs[j].append(weight_sum(rank, [wf]))
+    out = legs[0]
+    for leg in legs[1:]:
+        out = series_mul(rank, out, leg)
+    return tuple(out)
+
+
+def series_mul(rank: int, a: list[WeightSum], b: list[WeightSum]
+               ) -> list[WeightSum]:
+    """Product of two coefficient lists of one length, cut at that
+    length: coefficient k sums ``ws_mul`` of the coefficients i and
+    k - i."""
+    return [weight_sum(rank, [wf for i in range(k + 1)
+                              for wf in ws_mul(rank, a[i], b[k - i])])
+            for k in range(len(a))]
 
 
 def evaluate_fraction(wf, point) -> Fraction:

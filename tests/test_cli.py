@@ -41,6 +41,33 @@ def test_vertex_json(capsys):
         {"k": 0, "value": {"scalar": "1", "num": [], "den": []}}]
 
 
+def test_vertex_header_and_json_shape(capsys):
+    # the header names the specialization only when there is one; the
+    # document keeps the order and one entry per coefficient, a term as
+    # an object and a sum of several as a list
+    cy = ["--specialize", "s3=-s1-s2,v1=1"]
+    argv = ["vertex", "--rank", "1", "--order", "2"]
+    _, out, _ = run(capsys, argv + cy)
+    assert out.splitlines() == [
+        "rank 1, twist 0, mode character, specialized: s3=-s1-s2,v1=1",
+        "c[0] = 1", "c[1] = -1", "c[2] = 1"]
+    _, out, _ = run(capsys, argv + ["--twist", "1", "--mode", "paper"])
+    assert out.splitlines()[0] == "rank 1, twist 1, mode paper"
+    _, out, _ = run(capsys, argv + cy + ["--format", "json"])
+    doc = json.loads(out)
+    assert doc["order"] == 2 and doc["specialization"] == "s3=-s1-s2,v1=1"
+    assert doc["coefficients"][2] == {
+        "k": 2, "value": {"scalar": "1", "num": [], "den": []}}
+    _, out, _ = run(capsys, ["vertex", "--rank", "2", "--order", "1",
+                             "--format", "json"])
+    doc = json.loads(out)
+    assert doc["order"] == 1
+    assert [c["k"] for c in doc["coefficients"]] == [0, 1]
+    terms = doc["coefficients"][1]["value"]
+    assert isinstance(terms, list) and len(terms) == 2
+    assert all(len(form) == 5 for t in terms for form in t["num"] + t["den"])
+
+
 def test_vertex_generic_text(capsys):
     code, out, _ = run(capsys, ["vertex", "--order", "1"])
     assert code == 0

@@ -70,7 +70,7 @@ def test_cy_slice_table_is_pinned():
             for mode in ("character", "paper", "closed_form"):
                 got["%d %d %s" % (rank, twist, mode)] = [
                     ws_to_json(c)
-                    for c in _series(rank, twist, mode).coefficients]
+                    for c in _series(rank, twist, mode)]
     assert got.keys() == VERTEX.keys()
     for key, row in VERTEX.items():
         assert got[key] == row, key

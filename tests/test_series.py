@@ -1,6 +1,7 @@
 """Tests for series assembly, binomial closed forms, and partitions."""
 
 import itertools
+import json
 import random
 import sys
 from decimal import Decimal
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hftvertex.chars import HftError, VariableSet
+from hftvertex.cli import main
 from hftvertex.fixedpoints import BoxTuple, InvalidModel
 from hftvertex.localize import (DivisionByZero, ModeUnavailable,
                                 _exchanged, contribution,
@@ -185,11 +187,10 @@ def test_leg_strata():
 
 
 def test_assemble_vertex_basics():
-    series = assemble_vertex(1, 0, 0)
-    assert series.coefficients == (ws_unit(1),)
+    assert assemble_vertex(1, 0, 0) == (ws_unit(1),)
     series = assemble_vertex(1, 0, 2)
-    assert series.coefficients[0] == ws_unit(1)
-    assert series.coefficients[1] == (one_leg_exponent(1),)
+    assert series[0] == ws_unit(1)
+    assert series[1] == (one_leg_exponent(1),)
     for build in (lambda: assemble_vertex(1, 0, -1),
                   lambda: closed_form_series(1, 0, -1),
                   lambda: reference_series(1, 0, -1),
@@ -331,16 +332,15 @@ def test_binomiality_test():
 
 
 def test_binomiality_of_assembled_untwisted_rank_one():
-    series = assemble_vertex(1, 0, 3)
-    ok, exponent = binomiality_test(1, series.coefficients)
+    ok, exponent = binomiality_test(1, assemble_vertex(1, 0, 3))
     assert ok
     assert exponent == one_leg_exponent(1)
 
 
-def test_untwisted_rank_one_series_matches_sympy():
+def test_untwisted_rank_one_series_matches_sympy(capsys):
     # criterion 1 against an oracle that shares no code with series.py:
     # sympy expands (1+q)^((s2+s3)/s1) itself, and the assembled
-    # coefficients are read back from their JSON form
+    # coefficients are read back from the CLI's JSON output
     sympy = pytest.importorskip("sympy")
     s1, s2, s3, q = sympy.symbols("s1 s2 s3 q")
     order = 6
@@ -351,7 +351,8 @@ def test_untwisted_rank_one_series_matches_sympy():
     def linear(form):
         return sum(c * p for c, p in zip(form, params))
 
-    doc = assemble_vertex(1, 0, order).to_json()
+    assert main(["vertex", "--order", str(order), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert [c["k"] for c in doc["coefficients"]] == list(range(order + 1))
     for c in doc["coefficients"]:
         # one term is written as an object, several as a list
@@ -379,6 +380,24 @@ def test_power():
         power(1, [ws_unit(1)], -1, 2)
     with pytest.raises(InvalidModel):
         power(1, [ws_unit(1)], 2, -1)
+
+
+def test_power_at_exponent_one_returns_the_rows(monkeypatch):
+    # the first power neither multiplies nor sums: the canonical rows
+    # come back cut or padded with zeros to the order
+    import hftvertex.series as series
+
+    def refused(*args):
+        raise AssertionError("called at exponent one")
+
+    monkeypatch.setattr(series, "weight_sum", refused)
+    monkeypatch.setattr(series, "_product", refused)
+    a = (wf1(1, [(1, 0, 0, 0)], [(0, 1, 0, 0)]),)
+    rows = [ws_unit(1), a, (), a]
+    assert power(1, rows, 1, 3) == rows
+    assert power(1, rows, 1, 1) == rows[:2]
+    assert power(1, rows, 1, 5) == [*rows, (), ()]
+    assert power(1, [], 1, 1) == [(), ()]
 
 
 def brute_power(rank, coefficients, exponent, order):
@@ -451,11 +470,11 @@ def test_closed_form_series_on_cy_slice():
     for twist in range(3):
         series = closed_form_series(1, twist, 4, cy)
         want = binomial_series(weight_function(1, -(twist + 1)), 4)
-        for got, ref in zip(series.coefficients, want):
+        for got, ref in zip(series, want):
             assert got == weight_sum(1, [ref])
     cy2 = parse_specialization(2, "s3=-s1-s2,v1=1,v2=1")
     series = closed_form_series(2, 0, 3, cy2)
-    texts = [ws_text(c) for c in series.coefficients]
+    texts = [ws_text(c) for c in series]
     assert texts == ["1", "-2", "3", "-4"]
 
 
@@ -500,24 +519,8 @@ def test_late_specialization_matches_early():
     late = assemble_vertex(1, 0, 3, "character")
     for k in range(4):
         collapsed = weight_sum(
-            1, [specialize(wf, cy) for wf in late.coefficients[k]])
-        assert collapsed == early.coefficients[k]
-
-
-def test_vertex_series_text_and_json():
-    cy = parse_specialization(1, "s3=-s1-s2,v1=1")
-    series = assemble_vertex(1, 0, 2, "character", cy)
-    lines = series.text().splitlines()
-    assert lines[0] == ("rank 1, twist 0, mode character, "
-                        "specialized: s3=-s1-s2,v1=1")
-    assert lines[1] == "c[0] = 1"
-    assert lines[2] == "c[1] = -1"
-    data = series.to_json()
-    assert data["order"] == 2
-    assert data["coefficients"][2] == {
-        "k": 2, "value": {"scalar": "1", "num": [], "den": []}}
-    plain = assemble_vertex(1, 1, 0)
-    assert plain.text().splitlines()[0] == "rank 1, twist 1, mode character"
+            1, [specialize(wf, cy) for wf in late[k]])
+        assert collapsed == early[k]
 
 
 def test_count_series_normalization():

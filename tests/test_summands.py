@@ -170,12 +170,12 @@ def test_assemble_vertex_sums_the_whole_character_contributions():
                                    % (box, twist))
                         for box in leg_strata(rank, k)]) for k in range(5)]
                     got = assemble_vertex(rank, twist, 4, mode, spec)
-                    assert list(got.coefficients) == want, (
+                    assert list(got) == want, (
                         rank, twist, mode, spec)
 
 
 def _texts(build, *args):
-    return [ws_text(c) for c in build(*args).coefficients]
+    return [ws_text(c) for c in build(*args)]
 
 
 @settings(deadline=None, max_examples=200)
@@ -258,14 +258,9 @@ def test_assemble_vertex_matches_the_whole_share_road(case):
     factors) at each order."""
     rank, twist, order, mode, text = case
     spec = parse_specialization(rank, text) if text else None
-    got = _outcome(_coefficients, assemble_vertex, rank, twist, order, mode,
-                   spec)
-    assert got == _outcome(_coefficients, assemble_vertex_whole, rank, twist,
-                           order, mode, spec), case
-
-
-def _coefficients(build, *args):
-    return build(*args).coefficients
+    got = _outcome(assemble_vertex, rank, twist, order, mode, spec)
+    assert got == _outcome(assemble_vertex_whole, rank, twist, order, mode,
+                           spec), case
 
 
 _TWENTY_DIGITS = st.integers(10**19, 10**20 - 1)

@@ -42,8 +42,8 @@ PUBLIC = {
         "form_text", "param_names", "parse_specialization", "specialize",
         "weight_function", "weights_of"},
     "hftvertex.series": {
-        "BinomialIneligible", "CountSeries", "InvalidCounts", "VertexSeries",
-        "WeightSum", "assemble_vertex", "binomial_series",
+        "BinomialIneligible", "CountSeries", "InvalidCounts", "WeightSum",
+        "assemble_vertex", "binomial_series",
         "closed_form_series", "compare_rows", "eq_weight_sum",
         "hft_partition", "one_leg_exponent", "power", "reference_series",
         "weight_sum", "ws_unit"},
