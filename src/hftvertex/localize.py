@@ -17,10 +17,11 @@ builds the canonical share of the last summand, in either mode, and
 ``_exchanged`` turns it into the share of summand j by exchanging v_j
 and v_r; ``contribution`` and the series road both take this one road.
 The series road needs only one box shares, and ``_one_box_share``
-writes the character mode one as a closed product of 2r linear forms,
-with no character; ``contribution`` still reads its shares off the
-character (``weights_of`` of ``total_character``) until it takes the
-same closed product for any number of boxes.
+writes the character mode one canonical, in integers, as a closed
+product of 2r linear forms, with no character and no ``weight_function``
+call; ``contribution`` still reads its shares off the character
+(``weights_of`` of ``total_character``) until it takes the same closed
+product for any number of boxes.
 
 Specializations substitute affine rational expressions for parameters,
 for example the Calabi Yau slice s3 = -s1 - s2.  Parsing composes the
@@ -303,9 +304,16 @@ def _product(rank: int, factors: Sequence[WeightFunction]) -> WeightFunction:
     """Product of canonical weight functions of one rank.  Their forms
     are primitive already, so the scalars multiply, the sorted ``num``
     and ``den`` tuples merge, and only the forms now shared by the two
-    sides cancel.  One factor is its own product."""
+    sides cancel.  One factor is its own product, and so is a factor
+    times the unit."""
     if len(factors) == 1:
         return factors[0]
+    if len(factors) == 2:
+        x, y = factors
+        if x.scalar == 1 and not (x.num or x.den):
+            return y
+        if y.scalar == 1 and not (y.num or y.den):
+            return x
     top = bottom = 1
     for wf in factors:
         top *= wf.scalar.numerator
@@ -394,20 +402,31 @@ def _one_box_share(rank: int, twist: int, mode: str,
     has multiplicity one.  With d = v_r - v_l, each l in 1..r gives the
     numerator ``t s1 - s2 - s3 - d`` and the denominator
     ``(-t-1) s1 + d``; at t = -1 the one for l = r is the unit
-    monomial."""
+    monomial.  In character mode the step is built canonical in
+    integers, with no ``weight_function`` call: each form has content
+    one except ``(-t-1) s1``, which becomes ``s1`` with ``1/(-t-1)`` in
+    the scalar, and a form whose first nonzero entry is negative (each
+    numerator at t <= 0, each other denominator at t >= 0) is negated,
+    flipping the sign of the scalar."""
     if mode == "paper":
         nums, dens = _paper_factors(rank, 1, twist)
-    elif twist == -1:
+        return weight_function(rank, 1, nums, dens, context)
+    if twist == -1:
         raise ZeroWeight("character carries a unit monomial term")
-    else:
-        nums, dens = [], []
-        for l in range(rank):
-            d = [0] * rank
-            d[-1] += 1
-            d[l] -= 1
-            nums.append([twist, -1, -1] + [-x for x in d])
-            dens.append([-twist - 1, 0, 0] + d)
-    return weight_function(rank, 1, nums, dens, context)
+    sn = 1 if twist > 0 else -1  # the sign that makes a numerator primitive
+    sd = 1 if twist < -1 else -1  # and a denominator other than s1
+    nums, dens = [], [(1,) + (0,) * (rank + 2)]
+    for l in range(rank):
+        d = [0] * rank
+        d[-1] += 1
+        d[l] -= 1
+        nums.append(tuple([sn * twist, -sn, -sn] + [-sn * x for x in d]))
+        if l < rank - 1:
+            dens.append(tuple([-sd * (twist + 1), 0, 0]
+                              + [sd * x for x in d]))
+    scalar = Fraction(sn ** rank * sd ** (rank - 1), -twist - 1)
+    return WeightFunction(rank, scalar, tuple(sorted(nums)),
+                          tuple(sorted(dens)))
 
 
 def _share(vars: VariableSet, alpha: int, beta: int, twist: int,
@@ -521,9 +540,9 @@ class Specialization:
 
 
 # a rational constant: an integer, or one over a nonzero denominator
-_RATIONAL = r"\d+(?:/0*[1-9]\d*)?"
+_RATIONAL = r"[0-9]+(?:/0*[1-9][0-9]*)?"
 # a constant, or a parameter with an optional rational coefficient
-_TERM_RE = re.compile(r"(%s)$|(?:(%s)\*)?([sv]\d+)$"
+_TERM_RE = re.compile(r"(%s)$|(?:(%s)\*)?([sv][0-9]+)$"
                       % (_RATIONAL, _RATIONAL))
 
 

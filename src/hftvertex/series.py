@@ -16,14 +16,15 @@ All three series here are products of one summand series, truncated
 at the order.  ``assemble_vertex`` convolves the leg series of the r
 frame summands, whose coefficients are the first leg shares of
 ``localize``: the share of a boxes is the one of a - 1 boxes times one
-box share, a closed product of linear forms built with no character,
-exchanged and specialized once per summand (``localize.contribution``
-still reads its shares off the character); ``closed_form_series``
-raises a one line binomial series, built in integers, to the rank power
-by one product per multiset of terms.  ``hft_partition`` raises a count
-series reindexed by the twist to the rank power in integers, each
-coefficient from the ones below it, up to the first that ``str()``
-cannot print.
+box share, a closed product of linear forms built canonical with no
+character, exchanged and specialized once per summand, and a term that
+meets the unit of another series is reused, not multiplied
+(``localize.contribution`` still reads its shares off the character);
+``closed_form_series`` raises a one line binomial series, built in
+integers, to the rank power by one product per multiset of terms.
+``hft_partition`` raises a count series reindexed by the twist to the
+rank power in integers, each coefficient from the ones below it, up to
+the first that ``str()`` cannot print.
 
 The series functions return their coefficients and render nothing: the
 CLI writes every output, text and JSON alike.
@@ -260,9 +261,11 @@ def binomial_series(exponent: WeightFunction, order: int
 
 def _ws_product(rank: int, factors: Sequence[Mapping[int, WeightSum]],
                 order: int) -> dict[int, WeightSum]:
-    """Product of one or more sparse degree to weight sum series,
-    dropping every degree beyond the order.  The term products that land
-    on a degree are summed by one ``weight_sum`` call."""
+    """Product of one or more sparse degree to weight sum series, each
+    with the unit at degree 0, dropping every degree beyond the order.
+    A coefficient times the unit is that coefficient, so it is reused,
+    not multiplied; the term products that land on a degree are summed
+    by one ``weight_sum`` call."""
     out = {k: c for k, c in factors[0].items() if k <= order}
     for factor in factors[1:]:
         terms: dict[int, list[WeightFunction]] = {}
@@ -270,6 +273,7 @@ def _ws_product(rank: int, factors: Sequence[Mapping[int, WeightSum]],
             for j, b in factor.items():
                 if i + j <= order:
                     terms.setdefault(i + j, []).extend(
+                        b if not i else a if not j else
                         [_product(rank, (x, y)) for x in a for y in b])
         out = {k: weight_sum(rank, t) for k, t in terms.items()}
     return out

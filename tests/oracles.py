@@ -36,13 +36,16 @@ get the others.  So is the enumeration road to the vertex series:
 ``assemble_vertex_enumerated`` sums, order by order,
 the contribution of every first leg stratum listed by ``leg_strata``,
 where the package multiplies the leg series of the frame summands, and
-``ws_mul`` multiplies two weight sums term by term, and so is the
-whole share road ``assemble_vertex_whole``, which builds the share of a
+``ws_mul`` multiplies two weight sums term by term, each product
+canonicalized again by ``wf_mul``, where the package merges canonical
+forms in ``_product``; and so is the whole share road
+``assemble_vertex_whole``, which builds the share of a
 boxes from the contribution of the a box fixed point at every order,
 where the package multiplies the share of a - 1 boxes by a one box
 share; it multiplies its leg series with ``series_mul``, a dense
 truncated product folded from ``ws_mul``, where the package convolves
-sparse series with one ``weight_sum`` per degree.  The first roads of
+sparse series with one ``weight_sum`` per degree and reuses the terms
+that meet a unit.  The first roads of
 two steps of that product stay too: ``exchanged_canonicalized``
 exchanges v_j and v_r in every form and canonicalizes the result again,
 where the package permutes the canonical forms and fixes their signs;
@@ -556,9 +559,17 @@ def ws_to_json(a: WeightSum):
     return json.loads(json.dumps(_ws_json(a)))
 
 
+def wf_mul(x: WeightFunction, y: WeightFunction) -> WeightFunction:
+    """Product of two weight functions, canonicalized again by
+    ``weight_function`` from the scalars' product and the concatenated
+    factor lists, where the package merges the two canonical forms."""
+    return weight_function(x.rank, x.scalar * y.scalar, x.num + y.num,
+                           x.den + y.den)
+
+
 def ws_mul(rank: int, a: WeightSum, b: WeightSum) -> WeightSum:
-    """Product of two weight sums, term by term."""
-    return weight_sum(rank, [x * y for x in a for y in b])
+    """Product of two weight sums, term by term through ``wf_mul``."""
+    return weight_sum(rank, [wf_mul(x, y) for x in a for y in b])
 
 
 def exchanged_canonicalized(wf: WeightFunction, j: int) -> WeightFunction:

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from hftvertex.chars import VariableSet
 from hftvertex.fixedpoints import enumerate_fixed
-from hftvertex.localize import (contribution, form_text, weight_function,
-                                weights_of)
+from hftvertex.localize import (_product, contribution, form_text,
+                                weight_function, weights_of)
 from hftvertex.vertexchar import total_character
-from oracles import form_text_fraction, weight_function_fraction
+from oracles import form_text_fraction, weight_function_fraction, wf_mul
 
 FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 ENTRIES = st.one_of(st.integers(-4, 4), FRACTIONS)
@@ -139,6 +139,31 @@ def test_products_and_rescalings_match_the_canonicalization(data):
     assert a.scaled(c) == weight_function(rank, Fraction(scalar_a) * c,
                                           num_a, den_a)
     assert type((a * b).scalar) is type(a.scaled(c).scalar) is Fraction
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_two_factor_product_is_the_recanonicalized_product(data):
+    # either factor may be the unit, which returns the other as it is,
+    # and scalars may be negative
+    rank = data.draw(st.integers(1, 3))
+    unit = weight_function(rank, 1)
+    a, b = [unit if data.draw(st.integers(0, 3)) == 0
+            else weight_function(rank, *data.draw(_inputs(rank)))
+            for _ in range(2)]
+    # some forms of a, put on the other side of b, cancel in the product
+    back_num = tuple(f for f in a.den if data.draw(st.booleans()))
+    back_den = tuple(f for f in a.num if data.draw(st.booleans()))
+    if back_num or back_den:
+        b = weight_function(rank, b.scalar, b.num + back_num,
+                            b.den + back_den)
+    got = _product(rank, (a, b))
+    assert got == wf_mul(a, b)
+    assert type(got.scalar) is Fraction
+    if a == unit:
+        assert got is b
+    elif b == unit:
+        assert got is a
 
 
 def test_contributions_match_fraction_oracle():

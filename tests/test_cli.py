@@ -1,6 +1,8 @@
 """End to end tests of the command line interface."""
 
 import json
+import runpy
+import sys
 import time
 
 import pytest
@@ -487,6 +489,31 @@ def test_repeated_specialize_target_exits_two(capsys):
             sub, "--order", "1", "--specialize", "s1=1,s1=2"])
         assert code == 2 and out == ""
         assert err == "error: s1 is assigned more than once\n"
+
+
+@pytest.mark.parametrize("term", ["\u0663*s2", "\uff12*s2", "1/1\u0663*s2",
+                                  "s\u0663", "\u0663"])
+def test_specialize_terms_take_ascii_digits_only(capsys, term):
+    # an Arabic-Indic three or a fullwidth two is no digit of a term, as
+    # it is none of a count file's key
+    for sub in ("vertex", "compare"):
+        code, out, err = run(capsys, [
+            sub, "--rank", "2", "--order", "1", "--specialize",
+            "s1=" + term])
+        assert code == 2 and out == ""
+        assert err == "error: cannot parse term %r\n" % term
+    code, _, _ = run(capsys, ["vertex", "--rank", "2", "--order", "1",
+                              "--specialize", "s1=3*s2-1/12*v2"])
+    assert code == 0
+
+
+def test_module_runs_as_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hftvertex", "vertex", "--order", "1"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+            pytest.raises(SystemExit) as raised:
+        runpy.run_module("hftvertex.cli", run_name="__main__")
+    assert raised.value.code == 0
+    assert capsys.readouterr().out.splitlines()[1] == "c[0] = 1"
 
 
 _HUGE = "1e3000000"

@@ -37,6 +37,14 @@ def test_form_text():
         form_text(2, (1, 0, 0, 0))
 
 
+def test_weight_function_repr_is_its_text_and_mul_takes_no_number():
+    wf = weight_function(1, Fraction(-3, 2), [(0, 1, 1, 0)], [(1, 0, 0, 0)])
+    assert repr(wf) == wf.text() == "-3/2 * (s2 + s3)/(s1)"
+    assert wf.__mul__(2) is NotImplemented
+    with pytest.raises(TypeError):
+        wf * 2
+
+
 def test_weight_function_canonicalization():
     a = weight_function(1, 2, [(2, 2, 0, 0)])
     b = weight_function(1, 4, [(1, 1, 0, 0)])

@@ -19,14 +19,14 @@ from hftvertex.localize import (DivisionByZero, ModeUnavailable,
                                 parse_specialization, specialize,
                                 weight_function)
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
-                              assemble_vertex, binomial_series,
+                              _ws_product, assemble_vertex, binomial_series,
                               closed_form_series, compare_rows,
                               eq_weight_sum, hft_partition, one_leg_exponent,
                               power, reference_series, weight_sum, ws_unit)
 from oracles import (binomial_series_by_products, binomiality_test,
                      brute_partition, exchanged_canonicalized, leg_strata,
-                     partition_convolved, weight_sum_grouped, ws_mul,
-                     ws_text, ws_to_json)
+                     partition_convolved, series_mul, weight_sum_grouped,
+                     ws_mul, ws_text, ws_to_json)
 from test_localize import _affine_assignments, _value_or_error
 
 
@@ -66,6 +66,47 @@ def _weight_functions(rank):
     forms = st.lists(_forms(rank), max_size=4)
     return st.builds(lambda c, num, den: weight_function(rank, c, num, den),
                      SCALARS, forms, forms)
+
+
+@st.composite
+def _sparse_series(draw):
+    """A rank, an order and one to three leg series: degree to weight
+    sum, the unit at degree 0, other degrees drawn or missing.  Their
+    terms come from a small pool, so products merge, and may cancel."""
+    rank = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 4))
+    pool = draw(st.lists(_weight_functions(rank), min_size=1, max_size=3))
+    terms = st.lists(st.builds(lambda wf, c: wf.scaled(c),
+                               st.sampled_from(pool), SCALARS),
+                     min_size=1, max_size=3)
+    legs = []
+    for _ in range(draw(st.integers(1, 3))):
+        leg = {0: ws_unit(rank)}
+        for k in sorted(draw(st.sets(st.integers(1, order + 1)))):
+            leg[k] = weight_sum(rank, draw(terms))
+        legs.append(leg)
+    return rank, order, legs
+
+
+_X = weight_function(1, 2, [(0, 1, 1, 0)], [(1, 0, 0, 0)])
+_Y = weight_function(1, -3, [(1, 1, 0, 0)], [(0, 0, 1, 0)])
+
+
+@settings(deadline=None)
+@given(_sparse_series())
+# degree 1 cancels to zero, the terms of degrees 2 and 3 merge, degree 3
+# is missing from both legs, and degree 4 is past the order
+@example((1, 3, [{0: ws_unit(1), 1: (_X,), 2: (_Y.scaled(2),), 4: (_X,)},
+                 {0: ws_unit(1), 1: (_X.scaled(-1),), 2: (_Y,)}]))
+def test_ws_product_is_the_dense_convolution(case):
+    rank, order, legs = case
+    dense = [[leg.get(k, ()) for k in range(order + 1)] for leg in legs]
+    want = dense[0]
+    for leg in dense[1:]:
+        want = series_mul(rank, want, leg)
+    got = _ws_product(rank, legs, order)
+    assert [got.get(k, ()) for k in range(order + 1)] == want
+    assert all(k <= order for k in got)
 
 
 @settings(deadline=None)

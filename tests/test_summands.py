@@ -274,6 +274,14 @@ _TWENTY_DIGITS = st.integers(10**19, 10**20 - 1)
 @example(1, -1, "character")  # the unit monomial
 @example(16, -1, "character")
 @example(3, -1, "paper")
+# each sign branch of the canonical step: a numerator negated at t <= 0,
+# a denominator other than s1 at t >= 0
+@example(1, 0, "character")
+@example(16, 0, "character")
+@example(1, -2, "character")
+@example(16, -2, "character")
+@example(1, -10**20 + 1, "character")
+@example(16, -10**20 + 1, "character")
 def test_one_box_share_is_the_share_of_the_one_box_character(rank, twist,
                                                              mode):
     """The closed product of linear forms is the share that the one box
