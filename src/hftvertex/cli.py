@@ -172,14 +172,9 @@ def _ws_text(a: WeightSum, forms: dict[WeightForm, str]) -> str:
     keeps for one output (see ``_wf_text``)."""
     if not a:
         return "0"
-    out = _wf_text(a[0], forms)
-    for wf in a[1:]:
-        t = _wf_text(wf, forms)
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+    texts = [_wf_text(wf, forms) for wf in a]
+    return texts[0] + "".join([" - " + t[1:] if t[0] == "-" else " + " + t
+                               for t in texts[1:]])
 
 
 def _wf_json(wf: WeightFunction) -> dict:
@@ -297,7 +292,12 @@ def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> int:
             raise UsageError("cannot write %s: %s" % (args.out, err)) \
                 from None
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except OSError as err:
+            raise UsageError("cannot write standard output: %s" % err) \
+                from None
     return 0
 
 

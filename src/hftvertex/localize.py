@@ -6,10 +6,11 @@ coefficients.  A fixed point contribution is a ``WeightFunction``: a
 rational scalar times a sorted multiset of primitive integer forms over
 another, built in integer arithmetic, so two contributions are equal
 exactly when their canonical forms coincide.  Canonical forms compose
-without being canonicalized again: a product merges the sorted factors
-and cancels the ones now shared by numerator and denominator, a
-rescaling changes the scalar only, and an exchange of two frame
-parameters permutes entries and fixes signs.
+without being canonicalized again: a product of two merges their sorted
+factors, and a form cancels only across the two, where the numerator of
+one meets the denominator of the other; a rescaling changes the scalar
+only, and an exchange of two frame parameters permutes entries and
+fixes signs.
 
 At a fixed point the frame splits into r interchangeable summands, and
 the contribution is the product of the summands' shares.  ``_share``
@@ -143,7 +144,7 @@ class WeightFunction:
         if not isinstance(other, WeightFunction):
             return NotImplemented
         self._check(other)
-        return _product(self.rank, (self, other))
+        return _product(self.rank, self, other)
 
     def scaled(self, value: Fraction | int) -> WeightFunction:
         """This function times a rational number: only the scalar
@@ -189,21 +190,21 @@ def _wf_text(wf: WeightFunction, forms: dict[WeightForm, str]) -> str:
     """Render ``wf``.  ``forms`` maps each form rendered so far to its
     ``(...)`` text; the caller keeps it for one render, so a form that
     recurs across the terms of a sum is built once."""
-    if not wf.num and not wf.den:
-        return str(wf.scalar)
-    missing = [f for f in (*wf.num, *wf.den) if f not in forms]
-    if missing:
+    try:
+        num = "*".join(map(forms.__getitem__, wf.num))
+        den = "*".join(map(forms.__getitem__, wf.den))
+    except KeyError:  # a form not rendered yet: add this term's new ones
         names = param_names(wf.rank)
-        for f in missing:
-            forms[f] = "(%s)" % _form_text(names, f)
-    out = "*".join(map(forms.__getitem__, wf.num))
-    if not out:
-        out = str(wf.scalar)
-    elif wf.scalar != 1:
-        out = "%s * %s" % (wf.scalar, out)
-    if wf.den:
-        out += "/" + "*".join(map(forms.__getitem__, wf.den))
-    return out
+        for f in (*wf.num, *wf.den):
+            if f not in forms:
+                forms[f] = "(%s)" % _form_text(names, f)
+        return _wf_text(wf, forms)
+    scalar = str(wf.scalar)
+    if not num:
+        num = scalar
+    elif scalar != "1":
+        num = scalar + " * " + num
+    return num + "/" + den if den else num
 
 
 def _cleared(point: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -300,29 +301,28 @@ def weight_function(rank: int, scalar: Fraction | int,
     return _cancelled(rank, s, nn, dd)
 
 
-def _product(rank: int, factors: Sequence[WeightFunction]) -> WeightFunction:
-    """Product of canonical weight functions of one rank.  Their forms
-    are primitive already, so the scalars multiply, the sorted ``num``
-    and ``den`` tuples merge, and only the forms now shared by the two
-    sides cancel.  One factor is its own product, and so is a factor
-    times the unit."""
-    if len(factors) == 1:
-        return factors[0]
-    if len(factors) == 2:
-        x, y = factors
-        if x.scalar == 1 and not (x.num or x.den):
-            return y
-        if y.scalar == 1 and not (y.num or y.den):
-            return x
-    top = bottom = 1
-    for wf in factors:
-        top *= wf.scalar.numerator
-        bottom *= wf.scalar.denominator
+def _product(rank: int, x: WeightFunction, y: WeightFunction
+             ) -> WeightFunction:
+    """Product of two canonical weight functions of one rank.  Their
+    forms are primitive already, so the scalars multiply in integers and
+    the sorted ``num`` and ``den`` tuples merge.  Each factor shares no
+    form between its own sides, so a form can cancel only across the two
+    factors, between ``x.num`` and ``y.den`` or ``y.num`` and ``x.den``,
+    and the cancel pass runs only when one of those pairs meets.  A
+    factor times the unit is that factor."""
+    if not (x.num or x.den) and x.scalar == 1:
+        return y
+    if not (y.num or y.den) and y.scalar == 1:
+        return x
+    top = x.scalar.numerator * y.scalar.numerator
     if not top:
         return WeightFunction(rank, Fraction(0), (), ())
-    return _cancelled(rank, Fraction(top, bottom),
-                      sorted([f for wf in factors for f in wf.num]),
-                      sorted([f for wf in factors for f in wf.den]))
+    bottom = x.scalar.denominator * y.scalar.denominator
+    scalar = Fraction(top) if bottom == 1 else Fraction(top, bottom)
+    nn, dd = sorted(x.num + y.num), sorted(x.den + y.den)
+    if set(x.num).isdisjoint(y.den) and set(y.num).isdisjoint(x.den):
+        return WeightFunction(rank, scalar, tuple(nn), tuple(dd))
+    return _cancelled(rank, scalar, nn, dd)
 
 
 def _cancelled(rank: int, scalar: Fraction, nn: list[WeightForm],
@@ -509,10 +509,12 @@ def contribution(vars: VariableSet, box: BoxTuple, twist: int,
 
     def context():
         return "contribution of %r at twist %d" % (box, twist)
-    return _product(vars.rank, [
-        _exchanged(_share(vars, alpha, beta, twist, mode, context), j)
-        for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta))
-        if alpha or beta])
+    out = WeightFunction(vars.rank, Fraction(1), (), ())
+    for j, (alpha, beta) in enumerate(zip(box.alpha, box.beta)):
+        if alpha or beta:
+            out = _product(vars.rank, out, _exchanged(
+                _share(vars, alpha, beta, twist, mode, context), j))
+    return out
 
 
 @dataclass(frozen=True)

@@ -204,9 +204,9 @@ def assemble_vertex(rank: int, twist: int, order: int,
         step = _one_box_share(rank, twist + a - 1, mode,
                               _point_context(rank, rank - 1, a, twist))
         for j in reversed(range(rank)):
-            shares[j] = _product(rank, (shares[j], specialize(
+            shares[j] = _product(rank, shares[j], specialize(
                 _exchanged(step, j), spec,
-                _point_context(rank, j, a, twist))))
+                _point_context(rank, j, a, twist)))
             legs[j][a] = (shares[j],)
     out = _ws_product(rank, legs, order)
     return tuple(out.get(k, ()) for k in range(order + 1))
@@ -274,7 +274,7 @@ def _ws_product(rank: int, factors: Sequence[Mapping[int, WeightSum]],
                 if i + j <= order:
                     terms.setdefault(i + j, []).extend(
                         b if not i else a if not j else
-                        [_product(rank, (x, y)) for x in a for y in b])
+                        [_product(rank, x, y) for x in a for y in b])
         out = {k: weight_sum(rank, t) for k, t in terms.items()}
     return out
 
@@ -285,7 +285,8 @@ def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
     multiset of ``exponent`` terms within the order, their product times
     e!/(c_1! c_2! ...), the count of its orderings for multiplicities
     c_i.  That is the canonical sum of the products of all orderings,
-    which ``weight_sum`` would merge, with one product per multiset.
+    which ``weight_sum`` would merge, with one product per multiset,
+    folded into the unit one factor at a time.
     The first power of canonical sums is the list itself, cut or padded
     with zeros to the order."""
     _check_integers(exponent=exponent, order=order)
@@ -299,6 +300,7 @@ def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
     terms = [(j, wf) for j, c in enumerate(coefficients[:order + 1])
              for wf in c]
     found: dict[int, list[WeightFunction]] = {}
+    unit = WeightFunction(rank, Fraction(1), (), ())
     stack = [((), 0, 0)]  # nondecreasing picks, their degree, least next
     while stack:
         picks, degree, low = stack.pop()
@@ -307,7 +309,9 @@ def power(rank: int, coefficients: Sequence[WeightSum], exponent: int,
             count = factorial(exponent)
             for run in Counter(picks).values():
                 count //= factorial(run)
-            wf = _product(rank, [terms[i][1] for i in picks])
+            wf = unit
+            for i in picks:
+                wf = _product(rank, wf, terms[i][1])
             found.setdefault(degree, []).append(wf.scaled(count))
             continue
         for i in range(low, len(terms)):

@@ -14,7 +14,11 @@ twists, refused twists (negative, 21 digits) and specializations that
 run, fail the computation or are refused.  ``partition`` and
 ``stability`` read small files that ``write_files`` makes in the working
 directory and that the argv names relative to it, so that no digest
-depends on where the files are.  Most runs exit 0.
+depends on where the files are.  The corpus ends with the twelve runs
+the benchmark's ``assemble`` and ``compare`` workloads time, without
+their ``--out``; one of them, ``compare --rank 2 --order 2 --twist 1
+--format json``, is already among the ``compare`` runs and keeps its
+place there.  Most runs exit 0.
 """
 
 from __future__ import annotations
@@ -69,6 +73,23 @@ FILES = {
         "subobjects": [{"p": ["1", "1"], "factors": False}]}),
     "nofield.json": json.dumps({"rank": 1, "p_total": ["1"]}),
 }
+
+# the series and comparison runs the benchmark's ``assemble`` and
+# ``compare`` workloads time, as they print to stdout
+_BENCHMARK_RUNS = (
+    "vertex --rank 3 --order 5",
+    "vertex --rank 4 --order 3 --twist 2 --specialize s3=-s1-s2",
+    "vertex --rank 5 --order 3 --format json",
+    "vertex --rank 4 --order 5 --mode paper",
+    "vertex --rank 3 --order 6 --mode closed_form",
+    "vertex --rank 1 --order 12 --twist 3 --specialize s3=-s1-s2,v1=1",
+    "compare --rank 1 --order 10",
+    "compare --rank 1 --order 8 --twist 2 --format json",
+    "compare --rank 2 --order 2",
+    "compare --rank 2 --order 2 --twist 1 --format json",
+    "compare --rank 3 --order 1",
+    "compare --rank 2 --order 3 --specialize s3=-s1-s2",
+)
 
 
 def _series(command: str, rank: int, order: int, *rest: str) -> list[str]:
@@ -136,6 +157,7 @@ def corpus() -> list[list[str]]:
                     ("model1", "1/0")):
         runs.append(["stability", "--model-file", name + ".json",
                      "--q-poly=" + q])
+    runs += [line.split() for line in _BENCHMARK_RUNS]
     return runs
 
 

@@ -65,7 +65,9 @@ forms as it parses them.
 
 Finally it holds the tools only the tests need: ``ws_text`` and
 ``ws_to_json``, the text and JSON form of one weight sum, where the CLI
-keeps one form cache per output; ``eq_rational``, equality of values of
+keeps one form cache per output; ``wf_text_reference``, the text of one
+weight function with every form written again by a loop of its own;
+``eq_rational``, equality of values of
 rational characters; ``poly_substituted`` and
 ``char_substituted``, signed monomial substitutions, which the raw road
 uses to change charts; ``binomiality_test``, which recognizes a binomial
@@ -551,6 +553,34 @@ def contribution_whole(vars: VariableSet, box: BoxTuple, twist: int,
 def ws_text(a: WeightSum) -> str:
     """The text of ``a``, with a form cache of its own."""
     return _ws_text(a, {})
+
+
+def wf_text_reference(wf: WeightFunction) -> str:
+    """The text of ``wf`` from its definition, with no form cache: the
+    scalar alone when there is no numerator form, else the numerator
+    forms, behind the scalar and `` * `` unless the scalar is 1, then
+    ``/`` and the denominator forms when there are any.  Each form is
+    written here as its signed terms joined by `` + `` and each `` + -``
+    then read as `` - ``, where the package writes the sign of each term
+    as it goes (``localize._form_text``)."""
+    names = param_names(wf.rank)
+
+    def form(f) -> str:
+        terms = ["%s%s%s" % ("-" if c < 0 else "",
+                             "" if abs(c) == 1 else "%d*" % abs(c), name)
+                 for name, c in zip(names, f) if c]
+        return "(%s)" % " + ".join(terms).replace(" + -", " - ")
+
+    num = "*".join(map(form, wf.num))
+    if not num:
+        text = str(wf.scalar)
+    elif wf.scalar == 1:
+        text = num
+    else:
+        text = "%s * %s" % (wf.scalar, num)
+    if wf.den:
+        text += "/" + "*".join(map(form, wf.den))
+    return text
 
 
 def ws_to_json(a: WeightSum):

@@ -157,13 +157,36 @@ def test_two_factor_product_is_the_recanonicalized_product(data):
     if back_num or back_den:
         b = weight_function(rank, b.scalar, b.num + back_num,
                             b.den + back_den)
-    got = _product(rank, (a, b))
+    got = _product(rank, a, b)
     assert got == wf_mul(a, b)
     assert type(got.scalar) is Fraction
     if a == unit:
         assert got is b
     elif b == unit:
         assert got is a
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_folded_products_are_the_recanonicalized_product(data):
+    # any of the three factors may be the unit or the zero function, and
+    # some forms of a, put on the other side of c, cancel between
+    # factors that are not next to each other
+    rank = data.draw(st.integers(1, 3))
+    special = [weight_function(rank, 1), weight_function(rank, 0)]
+    a, b, c = [special[k] if k < 2 else
+               weight_function(rank, *data.draw(_inputs(rank)))
+               for k in data.draw(st.lists(st.integers(0, 5), min_size=3,
+                                           max_size=3))]
+    back_num = tuple(f for f in a.den if data.draw(st.booleans()))
+    back_den = tuple(f for f in a.num if data.draw(st.booleans()))
+    if back_num or back_den:
+        c = weight_function(rank, c.scalar, c.num + back_num,
+                            c.den + back_den)
+    left = _product(rank, _product(rank, a, b), c)
+    right = _product(rank, a, _product(rank, b, c))
+    assert left == right == wf_mul(wf_mul(a, b), c)
+    assert type(left.scalar) is type(right.scalar) is Fraction
 
 
 def test_contributions_match_fraction_oracle():

@@ -1,7 +1,11 @@
 """End to end tests of the command line interface."""
 
+import errno
+import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 import time
 
@@ -332,19 +336,20 @@ def test_argparse_errors_return_their_code(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-
+def _module_run(argv, **kwargs):
+    """``python -m hftvertex.cli`` with ``argv`` in a child process."""
     import hftvertex
     # the child process imports the same package as this test, also when
     # it is found through the pytest configuration rather than PYTHONPATH
     src = os.path.dirname(os.path.dirname(hftvertex.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hftvertex.cli", "vertex", "--order", "1"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, "-m", "hftvertex.cli", *argv],
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          **kwargs)
+
+
+def test_module_entry_point():
+    proc = _module_run(["vertex", "--order", "1"], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "c[0] = 1"
 
@@ -356,6 +361,59 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
         assert code == 2 and out == "", path
         assert err.startswith("error: cannot write %s: " % path), path
         assert "Traceback" not in err
+
+
+class _FailingStdout(io.StringIO):
+    """A standard output whose ``write`` or ``flush`` fails as a write
+    to a full disk does."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("command", [
+    "vertex", "compare", "partition", "stability"])
+def test_unwritable_stdout_exits_two(tmp_path, capsys, monkeypatch,
+                                     command, failing):
+    (tmp_path / "counts.json").write_text('{"0": 1, "1": 2}')
+    (tmp_path / "model.json").write_text(json.dumps({
+        "rank": 1, "p_total": ["2", "1"], "p_image": ["1", "1"],
+        "subobjects": []}))
+    argv = {"vertex": ["vertex", "--order", "2"],
+            "compare": ["compare", "--order", "2"],
+            "partition": ["partition", "--p-file",
+                          str(tmp_path / "counts.json")],
+            "stability": ["stability", "--model-file",
+                          str(tmp_path / "model.json"), "--q-poly", "0,0,1"]}
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
+    code = main(argv[command])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: cannot write standard output: [Errno %d] %s\n"
+                   % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full device")
+def test_stdout_to_a_full_device_exits_two():
+    with open("/dev/full", "w") as full:
+        proc = _module_run(["vertex", "--rank", "1", "--order", "2"],
+                           stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: cannot write standard output: "
+                           "[Errno %d] %s\n"
+                           % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
 
 
 @pytest.mark.parametrize("data", [

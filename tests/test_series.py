@@ -12,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hftvertex.chars import HftError, VariableSet
-from hftvertex.cli import main
+from hftvertex.cli import _ws_text, main
 from hftvertex.fixedpoints import BoxTuple, InvalidModel
 from hftvertex.localize import (DivisionByZero, ModeUnavailable,
-                                _exchanged, contribution,
+                                _exchanged, _wf_text, contribution,
                                 parse_specialization, specialize,
                                 weight_function)
 from hftvertex.series import (BinomialIneligible, InvalidCounts,
@@ -26,7 +26,7 @@ from hftvertex.series import (BinomialIneligible, InvalidCounts,
 from oracles import (binomial_series_by_products, binomiality_test,
                      brute_partition, exchanged_canonicalized, leg_strata,
                      partition_convolved, series_mul, weight_sum_grouped,
-                     ws_mul, ws_text, ws_to_json)
+                     wf_text_reference, ws_mul, ws_text, ws_to_json)
 from test_localize import _affine_assignments, _value_or_error
 
 
@@ -191,6 +191,34 @@ def test_ws_text_joins_the_term_texts(data):
         else:
             want += " + " + t
     assert ws_text(s) == want
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_term_texts_match_the_reference(data):
+    # one form cache serves several sums, as in one CLI output, and a
+    # small pool of forms makes them recur across terms and sums; the
+    # scalars take 1 and -1, negative fractions and bare scalars, and a
+    # term may have an empty numerator over denominators
+    rank = data.draw(st.integers(1, 16))
+    pool = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * (3 + rank))
+                              .filter(any), min_size=1, max_size=4))
+    forms = st.lists(st.sampled_from(pool), max_size=3)
+    scalars = st.one_of(st.sampled_from([1, -1]), st.builds(
+        Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4)))
+    cache: dict = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        terms = data.draw(st.lists(st.tuples(scalars, forms, forms),
+                                   max_size=5))
+        s = weight_sum(rank, [weight_function(rank, c, num, den)
+                              for c, num, den in terms])
+        texts = [wf_text_reference(wf) for wf in s]
+        assert [_wf_text(wf, cache) for wf in s] == texts
+        # no term text holds " + -", so this reads each negative term
+        # after the first as a difference
+        want = " + ".join(texts).replace(" + -", " - ") if s else "0"
+        assert _ws_text(s, cache) == want
+        assert _ws_text(s, {}) == want
 
 
 def test_ws_to_json_shapes():
