@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -296,9 +297,23 @@ def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> int:
             sys.stdout.write(payload)
             sys.stdout.flush()
         except OSError as err:
+            _drop_stdout()
             raise UsageError("cannot write standard output: %s" % err) \
                 from None
     return 0
+
+
+def _drop_stdout() -> None:
+    """Point standard output at the null device.  After a failed write
+    the unwritten text stays in its buffer, and the flush at interpreter
+    exit would fail again and set exit status 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no file descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _series_spec(args) -> Specialization:

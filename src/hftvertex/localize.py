@@ -307,9 +307,8 @@ def _product(rank: int, x: WeightFunction, y: WeightFunction
     forms are primitive already, so the scalars multiply in integers and
     the sorted ``num`` and ``den`` tuples merge.  Each factor shares no
     form between its own sides, so a form can cancel only across the two
-    factors, between ``x.num`` and ``y.den`` or ``y.num`` and ``x.den``,
-    and the cancel pass runs only when one of those pairs meets.  A
-    factor times the unit is that factor."""
+    factors, between ``x.num`` and ``y.den`` or ``y.num`` and ``x.den``.
+    A factor times the unit is that factor."""
     if not (x.num or x.den) and x.scalar == 1:
         return y
     if not (y.num or y.den) and y.scalar == 1:
@@ -317,12 +316,9 @@ def _product(rank: int, x: WeightFunction, y: WeightFunction
     top = x.scalar.numerator * y.scalar.numerator
     if not top:
         return WeightFunction(rank, Fraction(0), (), ())
-    bottom = x.scalar.denominator * y.scalar.denominator
-    scalar = Fraction(top) if bottom == 1 else Fraction(top, bottom)
-    nn, dd = sorted(x.num + y.num), sorted(x.den + y.den)
-    if set(x.num).isdisjoint(y.den) and set(y.num).isdisjoint(x.den):
-        return WeightFunction(rank, scalar, tuple(nn), tuple(dd))
-    return _cancelled(rank, scalar, nn, dd)
+    return _cancelled(rank, Fraction(top, x.scalar.denominator
+                                     * y.scalar.denominator),
+                      sorted(x.num + y.num), sorted(x.den + y.den))
 
 
 def _cancelled(rank: int, scalar: Fraction, nn: list[WeightForm],

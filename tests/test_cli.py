@@ -336,16 +336,18 @@ def test_argparse_errors_return_their_code(capsys):
     capsys.readouterr()
 
 
-def _module_run(argv, **kwargs):
-    """``python -m hftvertex.cli`` with ``argv`` in a child process."""
+def _module_run(argv, env=None, **kwargs):
+    """``python -m hftvertex.cli`` with ``argv`` in a child process, in
+    ``env`` or else this process's environment."""
     import hftvertex
     # the child process imports the same package as this test, also when
     # it is found through the pytest configuration rather than PYTHONPATH
     src = os.path.dirname(os.path.dirname(hftvertex.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "hftvertex.cli", *argv],
-                          text=True, env=dict(os.environ, PYTHONPATH=path),
-                          **kwargs)
+                          text=True, env=env, **kwargs)
 
 
 def test_module_entry_point():
@@ -406,9 +408,16 @@ def test_unwritable_stdout_exits_two(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="no /dev/full device")
-def test_stdout_to_a_full_device_exits_two():
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_stdout_to_a_full_device_exits_two(buffered):
+    # a buffered stdout keeps the text it could not write, and the flush
+    # at interpreter exit must not fail a second time
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
-        proc = _module_run(["vertex", "--rank", "1", "--order", "2"],
+        proc = _module_run(["vertex", "--rank", "1", "--order", "2"], env,
                            stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 2
     assert proc.stderr == ("error: cannot write standard output: "
