@@ -16,6 +16,8 @@ written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -87,7 +89,12 @@ def _check_size(args) -> None:
             % (args.order, args.rank, _MAX_FIXED_POINTS))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the CLI.  Every subcommand is registered, but when
+    ``command`` names one, only its subparser gets options: argparse
+    consults no other subparser, and the top-level usage and help name
+    the subcommands only.  Otherwise every subparser gets its options."""
+    every = command not in _RUNNERS
     parser = argparse.ArgumentParser(
         prog="hftvertex",
         description="Exact equivariant vertex series for framed rank r "
@@ -110,31 +117,36 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p)
 
     p = sub.add_parser("vertex", help="assemble a vertex series")
-    p.add_argument("--mode",
-                   choices=("character", "paper", "closed_form"),
-                   default="character")
-    series_options(p)
+    if every or command == "vertex":
+        p.add_argument("--mode",
+                       choices=("character", "paper", "closed_form"),
+                       default="character")
+        series_options(p)
 
-    series_options(sub.add_parser(
-        "compare", help="tabulate contribution modes and closed form"))
+    p = sub.add_parser("compare",
+                       help="tabulate contribution modes and closed form")
+    if every or command == "compare":
+        series_options(p)
 
     p = sub.add_parser("partition",
                        help="twisted rank r count series from a count file")
-    p.add_argument("--p-file", required=True, metavar="PATH",
-                   help="JSON object mapping box totals to counts")
-    p.add_argument("--twist", type=_nonnegative, default=1)
-    p.add_argument("--rank", type=_positive, default=1)
-    p.add_argument("--order", type=_nonnegative, default=10)
-    common(p)
+    if every or command == "partition":
+        p.add_argument("--p-file", required=True, metavar="PATH",
+                       help="JSON object mapping box totals to counts")
+        p.add_argument("--twist", type=_nonnegative, default=1)
+        p.add_argument("--rank", type=_positive, default=1)
+        p.add_argument("--order", type=_nonnegative, default=10)
+        common(p)
 
     p = sub.add_parser("stability",
                        help="stability checks on a model file")
-    p.add_argument("--model-file", required=True, metavar="PATH",
-                   help="JSON description of a framed triple model")
-    p.add_argument("--q-poly", required=True,
-                   help="comma separated coefficients, lowest degree "
-                        "first, e.g. '0,0,1'")
-    common(p)
+    if every or command == "stability":
+        p.add_argument("--model-file", required=True, metavar="PATH",
+                       help="JSON description of a framed triple model")
+        p.add_argument("--q-poly", required=True,
+                       help="comma separated coefficients, lowest degree "
+                            "first, e.g. '0,0,1'")
+        common(p)
     return parser
 
 
@@ -293,14 +305,20 @@ def _emit(args, doc: Callable[[], dict], text: Callable[[], str]) -> int:
             raise UsageError("cannot write %s: %s" % (args.out, err)) \
                 from None
     else:
-        try:
-            sys.stdout.write(payload)
-            sys.stdout.flush()
-        except OSError as err:
-            _drop_stdout()
-            raise UsageError("cannot write standard output: %s" % err) \
-                from None
+        _write_stdout(payload)
     return 0
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output; a failed write is a usage
+    error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        _drop_stdout()
+        raise UsageError("cannot write standard output: %s" % err) \
+            from None
 
 
 def _drop_stdout() -> None:
@@ -428,12 +446,21 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
+    # argparse prints its help to stdout and ignores a failed write, so
+    # the help is taken here and written as an output is
+    shown = io.StringIO()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(shown):
+            args = parser.parse_args(argv)
     except SystemExit as err:
-        return int(err.code or 0)
+        args, code = None, int(err.code or 0)
     try:
+        if args is None:
+            if shown.getvalue():
+                _write_stdout(shown.getvalue())
+            return code
         return _RUNNERS[args.command](args)
     except (UsageError, SpecializationSyntax, InvalidCounts) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -16,7 +16,11 @@ run, fail the computation or are refused.  ``partition`` and
 directory and that the argv names relative to it, so that no digest
 depends on where the files are.  The corpus ends with the eleven runs
 the benchmark's ``assemble`` and ``compare`` workloads time that it
-does not hold already, without their ``--out``.  Most runs exit 0.
+does not hold already, without their ``--out``, and the argparse paths:
+help at the top and for each command, abbreviated options, ``--``,
+unknown options, missing required options and an option without its
+value.  Most runs exit 0.  Argparse wraps its usage and help at the
+terminal width, so each run sees 80 columns.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
+
+if __name__ == "__main__":  # run as a script from a checkout
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from hftvertex.cli import main
 
@@ -86,6 +95,28 @@ _BENCHMARK_RUNS = (
     "compare --rank 2 --order 2",
     "compare --rank 3 --order 1",
     "compare --rank 2 --order 3 --specialize s3=-s1-s2",
+)
+
+
+# help, abbreviated options, "--", unknown, missing and valueless options
+_ARGPARSE_RUNS = (
+    "-h",
+    "--help",
+    "vertex -h",
+    "compare -h",
+    "partition -h",
+    "stability -h",
+    "-h vertex",
+    "vertex --ord 2 --ra 2",
+    "vertex --rank 1 -- 2",
+    "partition --bogus",
+    "partition --p-file counts.json --bogus",
+    "stability --bogus",
+    "stability --model-file model1.json --q-poly 0,0,1 --bogus",
+    "partition --order 2",
+    "stability --q-poly 0,0,1",
+    "stability --model-file model1.json",
+    "vertex --rank",
 )
 
 
@@ -155,6 +186,7 @@ def corpus() -> list[list[str]]:
         runs.append(["stability", "--model-file", name + ".json",
                      "--q-poly=" + q])
     runs += [line.split() for line in _BENCHMARK_RUNS]
+    runs += [line.split() for line in _ARGPARSE_RUNS]
     return runs
 
 
@@ -167,9 +199,10 @@ def write_files(directory: str) -> None:
 
 def digest(argv: list[str]) -> str:
     """The first 16 hex digits of the sha256 of the exit code, stdout
-    and stderr of ``main(argv)``, run in-process."""
+    and stderr of ``main(argv)``, run in-process with 80 columns."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     text = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(text.encode()).hexdigest()[:16]

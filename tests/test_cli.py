@@ -1,5 +1,7 @@
 """End to end tests of the command line interface."""
 
+import argparse
+import contextlib
 import errno
 import io
 import json
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hftvertex.cli import _json_text, main
+from contract_digests import corpus
+from hftvertex.cli import _build_parser, _json_text, main
 
 
 def run(capsys, argv):
@@ -406,6 +409,20 @@ def test_unwritable_stdout_exits_two(tmp_path, capsys, monkeypatch,
                    % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
 
 
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["vertex", "--help"], ["partition", "-h"]], ids=" ".join)
+def test_help_that_cannot_be_written_exits_two(capsys, monkeypatch, argv,
+                                               failing):
+    # argparse itself ignores a failed write of its help and exits 0
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: cannot write standard output: [Errno %d] %s\n"
+                   % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="no /dev/full device")
 @pytest.mark.parametrize("buffered", [True, False],
@@ -416,13 +433,14 @@ def test_stdout_to_a_full_device_exits_two(buffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    with open("/dev/full", "w") as full:
-        proc = _module_run(["vertex", "--rank", "1", "--order", "2"], env,
-                           stdout=full, stderr=subprocess.PIPE)
-    assert proc.returncode == 2
-    assert proc.stderr == ("error: cannot write standard output: "
-                           "[Errno %d] %s\n"
-                           % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    for argv in (["vertex", "--rank", "1", "--order", "2"], ["-h"]):
+        with open("/dev/full", "w") as full:
+            proc = _module_run(argv, env, stdout=full,
+                               stderr=subprocess.PIPE)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == ("error: cannot write standard output: "
+                               "[Errno %d] %s\n"
+                               % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
 
 
 @pytest.mark.parametrize("data", [
@@ -581,6 +599,41 @@ def test_module_runs_as_main(monkeypatch, capsys):
         runpy.run_module("hftvertex.cli", run_name="__main__")
     assert raised.value.code == 0
     assert capsys.readouterr().out.splitlines()[1] == "c[0] = 1"
+
+
+def _parsed(parser, argv):
+    """The namespace that ``parser`` makes of ``argv`` as a dict, or,
+    when it exits, its exit code and the text it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exit_:
+        return exit_.code, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_of_argv0_parses_as_the_full_parser():
+    # every argv of the output contract, those argparse refuses included
+    full = _build_parser()
+    accepted = 0
+    for argv in corpus():
+        parsed = _parsed(_build_parser(argv[0] if argv else None), argv)
+        assert parsed == _parsed(full, argv), argv
+        accepted += isinstance(parsed, dict)
+    assert accepted > 900
+
+
+@pytest.mark.parametrize("command", [
+    "vertex", "compare", "partition", "stability"])
+def test_the_parser_of_a_command_gives_no_other_command_options(command):
+    parser = _build_parser(command)
+    (subparsers,) = [a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers) == ["vertex", "compare", "partition",
+                                "stability"]
+    for name, sub in subparsers.items():
+        options = [a.dest for a in sub._actions if a.dest != "help"]
+        assert bool(options) == (name == command), name
 
 
 _HUGE = "1e3000000"
